@@ -10,7 +10,7 @@ witnesses.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .analysis import (
     complete_first_returns,
@@ -23,13 +23,14 @@ from .paltree import PalTree
 from .search import (
     ConstraintSet,
     FamilyTemplate,
+    PalWalk,
     deepest_word,
-    enumerate_words,
+    enumerate_words,  # unused here; perfbench/tracing.py wraps claims.enumerate_words
     forbid_other_palindromes,
     matches_any,
     scan_complete_returns,
 )
-from .words import Alphabet, Word, alph, canonical_class, factor_strings, least_period
+from .words import Alphabet, Word, canonical_class, factor_strings, least_period
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -135,6 +136,17 @@ class ClaimVerdict:
         )
 
 
+def _verdict(
+    claim_id: str, problems: list, bound: dict, witness: dict, stats: dict,
+    holds: str = VERIFIED,
+) -> ClaimVerdict:
+    """The holds status with the one witness when no problem was found, else
+    refuted with the problems as witnesses."""
+    if problems:
+        return ClaimVerdict(claim_id, REFUTED, bound, problems, stats)
+    return ClaimVerdict(claim_id, holds, bound, [witness], stats)
+
+
 def _pals(s: str) -> set[str]:
     out = set(PalTree(s).palindromes())
     out.add("")
@@ -150,22 +162,28 @@ def _timer():
     return lambda: round(time.perf_counter() - t0, 6)
 
 
+def _leaf_pal_counts(alphabet: Alphabet, n: int):
+    """(word, palindrome count with epsilon) for every length-n word, in
+    lexicographic order, read off one prefix-sharing walk."""
+    walk = PalWalk(ConstraintSet(alphabet), n)
+    tree = walk.tree
+    for w in walk.leaves():
+        yield w, tree.distinct_palindromes + 1
+
+
 def scan_min_palindromes(
-    alphabet: Alphabet, n: int, prefix: str = "", word_filter=None
+    alphabet: Alphabet, n: int, word_filter=None
 ) -> tuple[int, list[str], int]:
-    """Minimum palindrome count over length-n words starting with the given
-    prefix, with all argmin words. The prefix parameter partitions the scan
-    so independent workers can merge results by min and union.
+    """Minimum palindrome count over the length-n words passing the filter,
+    with all argmin words and the number of words scanned.
     """
     best = n + 2
     argmin: list[str] = []
     scanned = 0
-    for w in enumerate_words(alphabet, n - len(prefix)):
-        s = prefix + w.text
+    for s, c in _leaf_pal_counts(alphabet, n):
         if word_filter is not None and not word_filter(s):
             continue
         scanned += 1
-        c = _pal_count(s)
         if c < best:
             best, argmin = c, [s]
         elif c == best:
@@ -184,12 +202,15 @@ def minpal_scan(
     word_class: str = "all",
     k: int | None = None,
     constraints: ConstraintSet | None = None,
+    expected: int | None = None,
 ) -> ClaimVerdict:
     """Minimum palindrome count over all length-n words in a class.
 
     Classes: 'all' (every word), 'closure-window' (words whose factors up to
     length k all have their reversal present), 'constrained' (words passing a
-    ConstraintSet). Witnesses are the argmin words.
+    ConstraintSet). Witnesses are the argmin words. When expected is given
+    and the minimum differs from it, the verdict is refuted and its witness
+    also names the expected value.
     """
     elapsed = _timer()
     if word_class == "all":
@@ -210,11 +231,12 @@ def minpal_scan(
     bound: dict = {"alphabet": alphabet.symbols, "length": n, "class": word_class}
     if k is not None:
         bound["k"] = k
-    return ClaimVerdict(
-        claim_id=f"minpal-{alphabet.symbols}-{n}-{word_class}",
-        status=VERIFIED,
+    witness = {"min_palindromes": best, "argmin": sorted(argmin)}
+    return _verdict(
+        f"minpal-{alphabet.symbols}-{n}-{word_class}",
+        [] if expected in (None, best) else [{**witness, "expected": expected}],
         bound=bound,
-        witnesses=[{"min_palindromes": best, "argmin": sorted(argmin)}],
+        witness=witness,
         stats={"scanned": scanned, "elapsed_s": elapsed()},
     )
 
@@ -222,31 +244,16 @@ def minpal_scan(
 def verify_rich9() -> ClaimVerdict:
     """Every binary word of length 9 using both letters has >= 9 palindromes."""
     elapsed = _timer()
-    best, argmin, scanned = 11, [], 0
-    offenders = []
-    for w in enumerate_words(AB, 9):
-        if len(alph(w)) != 2:
-            continue
-        scanned += 1
-        c = _pal_count(w.text)
-        if c < 9:
-            offenders.append(w.text)
-        if c < best:
-            best, argmin = c, [w.text]
-        elif c == best:
-            argmin.append(w.text)
-    status = VERIFIED if not offenders and best == 9 else REFUTED
-    witnesses = (
-        [{"min_palindromes": best, "argmin_count": len(argmin),
-          "argmin_sample": sorted(argmin)[:8]}]
-        if status == VERIFIED
-        else [{"word": w, "palindromes": len(_pals(w))} for w in offenders[:8]]
+    best, argmin, scanned = scan_min_palindromes(
+        AB, 9, word_filter=lambda w: len(set(w)) == 2
     )
-    return ClaimVerdict(
-        claim_id="rich9",
-        status=status,
+    witness = {"min_palindromes": best, "argmin_count": len(argmin),
+               "argmin_sample": sorted(argmin)[:8]}
+    return _verdict(
+        "rich9",
+        [] if best == 9 else [witness],
         bound={"alphabet": "ab", "length": 9, "letters_present": 2},
-        witnesses=witnesses,
+        witness=witness,
         stats={"scanned": scanned, "elapsed_s": elapsed()},
     )
 
@@ -266,18 +273,17 @@ def verify_min4() -> ClaimVerdict:
     exact4 = sorted(w for w, c in rows if c == 4)
     # Cross-check: the binary floor at this length is far above 4.
     binary_floor, _, _ = scan_min_palindromes(AB, 12)
-    ok = not too_few and exact4 == ["abcabcabcabc"] and binary_floor == 9
-    return ClaimVerdict(
-        claim_id="min4",
-        status=VERIFIED_UP_TO_BOUND if ok else REFUTED,
+    witness = {"exactly_four": exact4, "binary_floor_at_12": binary_floor}
+    problems = [{"word": w, "palindromes": len(_pals(w))} for w in too_few[:8]]
+    if exact4 != ["abcabcabcabc"] or binary_floor != 9:
+        problems.append(witness)
+    return _verdict(
+        "min4",
+        problems,
         bound={"length": 12, "max_letters": 4},
-        witnesses=(
-            [{"exactly_four": exact4, "binary_floor_at_12": binary_floor}]
-            if ok
-            else [{"word": w, "palindromes": len(_pals(w))} for w in too_few[:8]]
-            + [{"unexpected_exactly_four": [w for w in exact4 if w != "abcabcabcabc"]}]
-        ),
+        witness=witness,
         stats={"canonical_words_within_budget": len(rows), "elapsed_s": elapsed()},
+        holds=VERIFIED_UP_TO_BOUND,
     )
 
 
@@ -315,12 +321,11 @@ def verify_exact9() -> ClaimVerdict:
     )
     exact9 = []
     below9 = []
-    for w in enumerate_words(AB, 12):
-        c = _pal_count(w.text)
+    for w, c in _leaf_pal_counts(AB, 12):
         if c == 9:
-            exact9.append(w.text)
+            exact9.append(w)
         elif c < 9:
-            below9.append(w.text)
+            below9.append(w)
     problems: list = []
     if below9:
         problems.append({"below_floor": below9[:8]})
@@ -338,25 +343,18 @@ def verify_exact9() -> ClaimVerdict:
             extension_rows.append({"word": s, "period": p, "palindromes": c})
             if p != 6 and c < 10:
                 problems.append({"period_break_without_growth": s})
-    status = VERIFIED if not problems else REFUTED
-    return ClaimVerdict(
-        claim_id="exact9",
-        status=status,
+    return _verdict(
+        "exact9",
+        problems,
         bound={"alphabet": "ab", "length": 12},
-        witnesses=(
-            [
-                {
-                    "squares": expected_squares,
-                    "class_member_squares": class_squares,
-                    "squares_outside_class_members": sorted(
-                        set(expected_squares) - set(class_squares)
-                    ),
-                    "extensions": extension_rows,
-                }
-            ]
-            if status == VERIFIED
-            else problems
-        ),
+        witness={
+            "squares": expected_squares,
+            "class_member_squares": class_squares,
+            "squares_outside_class_members": sorted(
+                set(expected_squares) - set(class_squares)
+            ),
+            "extensions": extension_rows,
+        },
         stats={"scanned": 4096, "elapsed_s": elapsed()},
     )
 
@@ -415,10 +413,7 @@ def verify_exact10() -> ClaimVerdict:
     """
     elapsed = _timer()
     classes = ten_palindrome_classes()
-    exact10 = set()
-    for w in enumerate_words(AB, 14):
-        if _pal_count(w.text) == 10:
-            exact10.add(w.text)
+    exact10 = {w for w, c in _leaf_pal_counts(AB, 14) if c == 10}
     union = set().union(*classes.values())
     problems: list = []
     unclassified = sorted(exact10 - union)
@@ -446,16 +441,11 @@ def verify_exact10() -> ClaimVerdict:
     )
     if over_six:
         problems.append({"palindrome_longer_than_6": over_six})
-    status = VERIFIED if not problems else REFUTED
-    return ClaimVerdict(
-        claim_id="exact10",
-        status=status,
+    return _verdict(
+        "exact10",
+        problems,
         bound={"alphabet": "ab", "length": 14},
-        witnesses=(
-            [{"classes": classes, "exactly_ten_count": len(exact10)}]
-            if status == VERIFIED
-            else problems
-        ),
+        witness={"classes": classes, "exactly_ten_count": len(exact10)},
         stats={"scanned": 16384, "elapsed_s": elapsed()},
     )
 
@@ -513,21 +503,14 @@ def verify_extend11() -> ClaimVerdict:
                 problems.append(
                     {"family": "tailed", "word": t, "palindromes": _pal_count(t)}
                 )
-    status = VERIFIED if not problems else REFUTED
-    return ClaimVerdict(
-        claim_id="extend11",
-        status=status,
+    return _verdict(
+        "extend11",
+        problems,
         bound={"alphabet": "ab", "families": sorted(classes)},
-        witnesses=(
-            [
-                {
-                    "extensions_checked": checked,
-                    "flankless_words_stopping_at_10": flankless_rows,
-                }
-            ]
-            if status == VERIFIED
-            else problems
-        ),
+        witness={
+            "extensions_checked": checked,
+            "flankless_words_stopping_at_10": flankless_rows,
+        },
         stats={"elapsed_s": elapsed()},
     )
 
@@ -540,12 +523,14 @@ def verify_need_squares() -> ClaimVerdict:
     elapsed = _timer()
     nonrich = []
     exceptional: dict[frozenset, str] = {}
-    for w in enumerate_words(AB, 12):
-        pals = _pals(w.text)
-        if len(pals) < 13:
-            nonrich.append(w.text)
+    walk = PalWalk(ConstraintSet(AB), 12)
+    tree = walk.tree
+    for w in walk.leaves():
+        if tree.distinct_palindromes + 1 < 13:
+            nonrich.append(w)
+            pals = frozenset(tree.palindromes()) | {""}
             if "aa" not in pals or "bb" not in pals:
-                exceptional.setdefault(frozenset(pals), w.text)
+                exceptional.setdefault(pals, w)
     problems: list = []
     if len(nonrich) != 850:
         problems.append({"nonrich_count": len(nonrich), "expected": 850})
@@ -559,25 +544,17 @@ def verify_need_squares() -> ClaimVerdict:
     witness_set = frozenset(_pals(EXCEPTIONAL_WITNESS))
     if witness_set != EXCEPTIONAL_PAL_SETS[3]:
         problems.append({"witness_pal_set": sorted(witness_set)})
-    status = VERIFIED if not problems else REFUTED
-    return ClaimVerdict(
-        claim_id="need-squares",
-        status=status,
+    return _verdict(
+        "need-squares",
+        problems,
         bound={"alphabet": "ab", "length": 12},
-        witnesses=(
-            [
-                {
-                    "nonrich_count": len(nonrich),
-                    "exceptional_sets": [
-                        sorted(s, key=lambda p: (len(p), p))
-                        for s in EXCEPTIONAL_PAL_SETS
-                    ],
-                    "witness_words": sorted(exceptional.values()),
-                }
-            ]
-            if status == VERIFIED
-            else problems
-        ),
+        witness={
+            "nonrich_count": len(nonrich),
+            "exceptional_sets": [
+                sorted(s, key=lambda p: (len(p), p)) for s in EXCEPTIONAL_PAL_SETS
+            ],
+            "witness_words": sorted(exceptional.values()),
+        },
         stats={"scanned": 4096, "elapsed_s": elapsed()},
     )
 
@@ -617,32 +594,26 @@ def verify_maxpal_bounds() -> ClaimVerdict:
     if found != ["aababbaab", "aabbabaab"]:
         problems.append({"aab_returns": found})
 
-    status = VERIFIED_UP_TO_BOUND if not problems else REFUTED
-    return ClaimVerdict(
-        claim_id="maxpal-bounds",
-        status=status,
+    return _verdict(
+        "maxpal-bounds",
+        problems,
         bound={
             "extension_hard_cap": 64,
             "power_prefix": 600,
             "stabilizer_cap": 16384,
             "returns_window": 20,
         },
-        witnesses=(
-            [
-                {
-                    "longest_word_with_palindromes_le_3": depth.witness,
-                    "bound_length": depth.max_len,
-                    "aab_returns": found,
-                }
-            ]
-            if status == VERIFIED_UP_TO_BOUND
-            else problems
-        ),
+        witness={
+            "longest_word_with_palindromes_le_3": depth.witness,
+            "bound_length": depth.max_len,
+            "aab_returns": found,
+        },
         stats={
-            "extension_nodes": depth.stats.nodes,
-            "returns_nodes": returns_scan.stats.nodes,
+            "extension": asdict(depth.stats),
+            "returns": asdict(returns_scan.stats),
             "elapsed_s": elapsed(),
         },
+        holds=VERIFIED_UP_TO_BOUND,
     )
 
 
@@ -665,22 +636,16 @@ def verify_closed13() -> ClaimVerdict:
         problems.append(
             {"missing_reversals": [list(p) for p in closure.witness_missing]}
         )
-    status = VERIFIED_UP_TO_BOUND if not problems else REFUTED
-    return ClaimVerdict(
-        claim_id="closed13",
-        status=status,
+    return _verdict(
+        "closed13",
+        problems,
         bound={"terms": "2..8", "closure_k": 8, "closure_horizon": 4096},
-        witnesses=(
-            [
-                {
-                    "pal_set": sorted(CLOSED13_PAL_SET, key=lambda p: (len(p), p)),
-                    "closed_up_to": closure.closed_up_to,
-                }
-            ]
-            if status == VERIFIED_UP_TO_BOUND
-            else problems
-        ),
+        witness={
+            "pal_set": sorted(CLOSED13_PAL_SET, key=lambda p: (len(p), p)),
+            "closed_up_to": closure.closed_up_to,
+        },
         stats={"elapsed_s": elapsed()},
+        holds=VERIFIED_UP_TO_BOUND,
     )
 
 
@@ -786,35 +751,20 @@ def run_return_family_claim(claim: ReturnFamilyClaim) -> ClaimVerdict:
         r for r in scan.returns if not matches_any(r, claim.families)
     )
     matched = sorted(r for r in scan.returns if matches_any(r, claim.families))
-    if offenders:
-        return ClaimVerdict(
-            claim_id=claim.claim_id,
-            status=REFUTED,
-            bound={"max_len": claim.max_len, "anchor": claim.anchor},
-            witnesses=[
-                {"return": r, "host": scan.returns[r]} for r in offenders[:8]
-            ],
-            stats={
-                "nodes": scan.stats.nodes,
-                "returns_found": len(scan.returns),
-                "elapsed_s": elapsed(),
-            },
-        )
-    return ClaimVerdict(
-        claim_id=claim.claim_id,
-        status=VERIFIED_UP_TO_BOUND,
+    return _verdict(
+        claim.claim_id,
+        [{"return": r, "host": scan.returns[r]} for r in offenders[:8]],
         bound={"max_len": claim.max_len, "anchor": claim.anchor},
-        witnesses=[
-            {
-                "families": [f.describe() for f in claim.families],
-                "returns_seen": matched,
-            }
-        ],
+        witness={
+            "families": [f.describe() for f in claim.families],
+            "returns_seen": matched,
+        },
         stats={
-            "nodes": scan.stats.nodes,
+            **asdict(scan.stats),
             "returns_found": len(scan.returns),
             "elapsed_s": elapsed(),
         },
+        holds=VERIFIED_UP_TO_BOUND,
     )
 
 
@@ -878,13 +828,13 @@ def verify_stream_pal_counts() -> ClaimVerdict:
             )
         if exact is not None and stab.pal_set != exact:
             problems.append({"stream": name, "pal_set": list(stab.palindromes)})
-    status = VERIFIED_UP_TO_BOUND if not problems else REFUTED
-    return ClaimVerdict(
-        claim_id="stream-pal-counts",
-        status=status,
+    return _verdict(
+        "stream-pal-counts",
+        problems,
         bound={"stabilizer_cap": 16384},
-        witnesses=[{"streams": rows}] if status == VERIFIED_UP_TO_BOUND else problems,
+        witness={"streams": rows},
         stats={"elapsed_s": elapsed()},
+        holds=VERIFIED_UP_TO_BOUND,
     )
 
 
@@ -924,34 +874,31 @@ def verify_closure_checks() -> ClaimVerdict:
             )
         if not closed and pair is not None and pair not in report.witness_missing:
             problems.append({"stream": name, "expected_missing_pair": list(pair)})
-    status = VERIFIED_UP_TO_BOUND if not problems else REFUTED
-    return ClaimVerdict(
-        claim_id="closure-checks",
-        status=status,
+    return _verdict(
+        "closure-checks",
+        problems,
         bound={"horizon": 4096},
-        witnesses=[{"streams": rows}] if status == VERIFIED_UP_TO_BOUND else problems,
+        witness={"streams": rows},
         stats={"elapsed_s": elapsed()},
+        holds=VERIFIED_UP_TO_BOUND,
     )
 
 
 # --- registry ---------------------------------------------------------------
 
 
-def _run_minpal_b9() -> ClaimVerdict:
-    v = minpal_scan(AB, 9)
-    v.claim_id = "minpal-b9"
-    return v
+MINPAL_EXPECTATIONS = {
+    # claim id -> (alphabet, word length, least palindrome count stated)
+    "minpal-b9": (AB, 9, 9),
+    "minpal-b12": (AB, 12, 9),
+    "minpal-t9": (ABC, 9, 4),
+}
 
 
-def _run_minpal_b12() -> ClaimVerdict:
-    v = minpal_scan(AB, 12)
-    v.claim_id = "minpal-b12"
-    return v
-
-
-def _run_minpal_t9() -> ClaimVerdict:
-    v = minpal_scan(ABC, 9)
-    v.claim_id = "minpal-t9"
+def _run_minpal(claim_id: str) -> ClaimVerdict:
+    alphabet, n, expected = MINPAL_EXPECTATIONS[claim_id]
+    v = minpal_scan(alphabet, n, expected=expected)
+    v.claim_id = claim_id
     return v
 
 
@@ -1018,17 +965,17 @@ CLAIMS: dict[str, tuple[str, object]] = {
     ),
     "minpal-b9": (
         "minimum palindrome count over binary length-9 words is 9",
-        _run_minpal_b9,
+        lambda: _run_minpal("minpal-b9"),
     ),
     "minpal-b12": (
         "minimum palindrome count over binary length-12 words is 9, attained "
-        "only by the two period-6 squares",
-        _run_minpal_b12,
+        "only by the 12 squares of rotations of aababb and its reversal",
+        lambda: _run_minpal("minpal-b12"),
     ),
     "minpal-t9": (
         "minimum palindrome count over ternary length-9 words is 4, attained by "
         "period-3 powers",
-        _run_minpal_t9,
+        lambda: _run_minpal("minpal-t9"),
     ),
     "stream-pal-counts": (
         "stabilized palindrome inventories of the named streams match their "

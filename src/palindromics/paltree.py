@@ -6,6 +6,11 @@ count (minus the two sentinel roots) always equals the number of distinct
 non-empty palindromic factors seen so far. Suffix links point to the longest
 proper palindromic suffix of each node's palindrome, which is always strictly
 shorter.
+
+Besides the plain append, push() and pop() let a depth-first search grow and
+shrink the text letter by letter (the undoable eertree of Rubinchik & Shur,
+"EERTREE", arXiv:1506.04862). Only push() records undo state, so texts built
+with append() or extend() pay nothing for it.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ class PalTree:
         "_seed_count",
         "_suffix",
         "_last_growth",
+        "_undo",
     )
 
     def __init__(self, text: str = "") -> None:
@@ -41,6 +47,7 @@ class PalTree:
         self._seed_count = [0, 0]
         self._suffix = 1  # longest palindromic suffix of the processed prefix
         self._last_growth = 0
+        self._undo: list[tuple[int, int]] = []  # (suffix, last_growth) per push
         self.extend(text)
 
     def _climb(self, v: int, pos: int) -> int:
@@ -83,6 +90,39 @@ class PalTree:
         for ch in text:
             self.append(ch)
 
+    def push(self, ch: str) -> int:
+        """Append one letter so that pop() can take it back.
+
+        Returns the length of the palindrome the letter created (it is then
+        the longest palindromic suffix), or 0 when no node was created.
+        Pushes and pops nest like a stack; an append() in between is not
+        undoable and must not be followed by a pop() of an earlier push.
+        """
+        self._undo.append((self._suffix, self._last_growth))
+        if self.append(ch):
+            return self._len[-1]
+        return 0
+
+    def pop(self) -> None:
+        """Undo the latest push(), restoring the tree it started from."""
+        suffix, self._last_growth = self._undo.pop()
+        s = self._s
+        pos = len(s) - 1
+        v = self._suffix
+        if self._first_end[v] == pos:
+            # The push created v, the newest node; drop it and the edge into
+            # it from the node it extends, found by repeating the push's climb.
+            del self._trans[self._climb(suffix, pos)][s[pos]]
+            self._len.pop()
+            self._link.pop()
+            self._trans.pop()
+            self._first_end.pop()
+            self._seed_count.pop()
+        else:
+            self._seed_count[v] -= 1
+        s.pop()
+        self._suffix = suffix
+
     @property
     def processed_length(self) -> int:
         return len(self._s)
@@ -100,6 +140,11 @@ class PalTree:
     def distinct_palindromes(self) -> int:
         """Number of distinct non-empty palindromic factors processed."""
         return len(self._len) - 2
+
+    @property
+    def suffix_node(self) -> int:
+        """Node of the longest palindromic suffix (1, the empty root, at start)."""
+        return self._suffix
 
     @property
     def last_growth(self) -> int:

@@ -128,19 +128,128 @@ def forbid_other_palindromes(
     return frozenset(palindromes_of_length(alphabet, length) - set(allowed))
 
 
-def _longest_palindromic_suffix(s: str) -> str:
-    # Longest first; the single-letter suffix always matches.
-    for i in range(len(s)):
-        t = s[i:]
-        if t == t[::-1]:
-            return t
-    return ""
-
-
 @dataclass
 class SearchStats:
+    """Counters of one constrained walk.
+
+    nodes counts every word visited, the empty root included, and max_depth
+    the length of the longest. leaves counts the visited words of length
+    max_len, whose branches the length bound cut rather than a constraint (a
+    walk with no leaves is exhaustive). Each pruned_* counts the rejected
+    one-letter extensions by the first constraint they broke: a forbidden
+    factor, the palindrome length cap, or the palindrome budget.
+    """
+
     nodes: int = 0
     max_depth: int = 0
+    leaves: int = 0
+    pruned_forbidden: int = 0
+    pruned_cap: int = 0
+    pruned_budget: int = 0
+
+
+class PalWalk:
+    """Lexicographic depth-first walk over the words of length <= max_len
+    whose prefixes all pass the prefix-closed constraints; required factors
+    are left to the consumer.
+
+    Iterating yields (depth, word) for each visited word in preorder, the
+    empty root first. While the consumer holds a word, ``tree`` is the
+    palindromic tree of exactly that word: the walk pushes a letter on the
+    way down and pops it on the way back, so every prefix is processed once
+    for all the words that share it. With canonical=True a letter is tried
+    only up to one past the largest letter used so far, which visits one
+    member of each renaming class.
+
+    A palindrome is new exactly when the push creates a node, and only then
+    are the cap and budget charged. Backtracking voids the eertree's
+    amortized bound on the suffix-link climb, so one push may climb the
+    whole chain of palindromic suffixes of the word. That chain stays short:
+    it has at most depth + 2 nodes and no more than the tree holds, which
+    the budget or cap keeps to a dozen or so in the constrained scans; depth
+    is at most 48 in the returns claims, 64 in deepest_word and 14 in the
+    exhaustive scans.
+    """
+
+    def __init__(
+        self, constraints: ConstraintSet, max_len: int, canonical: bool = False
+    ) -> None:
+        self.constraints = constraints
+        self.max_len = max_len
+        self.canonical = canonical
+        self.tree = PalTree()
+        self.stats = SearchStats()
+
+    def __iter__(self):
+        c = self.constraints
+        symbols = c.alphabet.symbols
+        k = len(symbols)
+        forbidden = c.forbidden_factors
+        forbidden_lengths = sorted({len(f) for f in forbidden})
+        cap, budget = c.pal_length_cap, c.pal_budget
+        assumed = c.assumed_with_epsilon()
+        max_len, canonical, stats = self.max_len, self.canonical, self.stats
+        push, pop = self.tree.push, self.tree.pop
+        # Per depth: the word, its budget charge, letters tried, letters allowed.
+        words = [""] * (max_len + 1)
+        charged = [len(assumed)] * (max_len + 1)
+        tried = [0] * (max_len + 1)
+        limit = [1 if canonical else k] * (max_len + 1)
+
+        stats.nodes += 1
+        if max_len == 0:
+            stats.leaves += 1
+        yield 0, ""
+        depth = 0
+        while True:
+            i = tried[depth]
+            if depth == max_len or i == limit[depth]:
+                if not depth:
+                    return
+                pop()
+                depth -= 1
+                continue
+            tried[depth] = i + 1
+            ch = symbols[i]
+            word = words[depth] + ch
+            hit = False
+            for n in forbidden_lengths:
+                if word[-n:] in forbidden:
+                    hit = True
+                    break
+            if hit:
+                stats.pruned_forbidden += 1
+                continue
+            cost = charged[depth]
+            grown = push(ch)
+            if grown:
+                if cap is not None and grown > cap:
+                    pop()
+                    stats.pruned_cap += 1
+                    continue
+                if word[-grown:] not in assumed:
+                    cost += 1
+                if budget is not None and cost > budget:
+                    pop()
+                    stats.pruned_budget += 1
+                    continue
+            depth += 1
+            words[depth] = word
+            charged[depth] = cost
+            tried[depth] = 0
+            if canonical:
+                limit[depth] = min(k, max(limit[depth - 1], i + 2))
+            stats.nodes += 1
+            if depth > stats.max_depth:
+                stats.max_depth = depth
+            if depth == max_len:
+                stats.leaves += 1
+            yield depth, word
+
+    def leaves(self):
+        """The visited words of length max_len, in lexicographic order."""
+        n = self.max_len
+        return (w for depth, w in self if depth == n)
 
 
 @dataclass(frozen=True)
@@ -161,67 +270,41 @@ def scan_complete_returns(
 
     A return counts once the host branch has produced all required factors
     (before or after the return inside the window); returns seen earlier on
-    the branch are kept pending and flushed at that point.
+    the branch are kept pending and flushed at that point. A factor missing
+    from a word can only show up in a one-letter extension as its suffix, so
+    each step tests the missing factors against the suffix alone.
     """
-    alphabet = constraints.alphabet.symbols
-    forbidden = sorted(constraints.forbidden_factors)
-    required = sorted(constraints.required_factors)
-    budget = constraints.pal_budget
-    cap = constraints.pal_length_cap
-    assumed = constraints.assumed_with_epsilon()
-    base_charge = len(assumed)
-
+    walk = PalWalk(constraints, max_len)
     found: dict[str, str] = {}
-    stats = SearchStats()
-    pals: set[str] = set()  # palindromes of the current word not in assumed
-    raw_pals: set[str] = {""}  # all palindromes of the current word
-
-    def recurse(s: str, missing: tuple[str, ...], anchor_starts: tuple[int, ...],
-                pending: tuple[str, ...]) -> None:
-        stats.nodes += 1
-        stats.max_depth = max(stats.max_depth, len(s))
-        if len(s) >= max_len:
-            return
-        for ch in alphabet:
-            t = s + ch
-            if any(t.endswith(f) for f in forbidden):
-                continue
-            lps = _longest_palindromic_suffix(t)
-            new_pal = lps not in raw_pals
-            if new_pal:
-                if cap is not None and len(lps) > cap:
-                    continue
-                charged = base_charge + len(pals) + (0 if lps in assumed else 1)
-                if budget is not None and charged > budget:
-                    continue
-            t_missing = tuple(r for r in missing if r not in t) if missing else ()
-            t_starts = anchor_starts
-            t_pending = pending
-            if t.endswith(anchor):
-                start = len(t) - len(anchor)
-                if t_starts and start > t_starts[-1]:
-                    ret = t[t_starts[-1] :]
-                    if t_missing:
-                        t_pending = pending + (ret,)
-                    else:
-                        found.setdefault(ret, t)
-                if not t_starts or start > t_starts[-1]:
-                    t_starts = t_starts + (start,)
-            if not t_missing and t_pending:
-                for ret in t_pending:
+    # Per depth: required factors still missing, start of the last anchor
+    # occurrence (-1 for none), returns waiting for the required factors.
+    missing = [tuple(sorted(constraints.required_factors))] * (max_len + 1)
+    last = [-1] * (max_len + 1)
+    pending: list[tuple[str, ...]] = [()] * (max_len + 1)
+    for depth, t in walk:
+        if not depth:
+            continue
+        t_missing = missing[depth - 1]
+        if t_missing:
+            t_missing = tuple(r for r in t_missing if not t.endswith(r))
+        t_last = last[depth - 1]
+        t_pending = pending[depth - 1]
+        if t.endswith(anchor):
+            if t_last >= 0:
+                ret = t[t_last:]
+                if t_missing:
+                    t_pending += (ret,)
+                else:
                     found.setdefault(ret, t)
-                t_pending = ()
-            if new_pal:
-                raw_pals.add(lps)
-                if lps not in assumed:
-                    pals.add(lps)
-            recurse(t, t_missing, t_starts, t_pending)
-            if new_pal:
-                raw_pals.discard(lps)
-                pals.discard(lps)
-
-    recurse("", tuple(required), (), ())
-    return ReturnScan(anchor=anchor, max_len=max_len, returns=found, stats=stats)
+            t_last = depth - len(anchor)
+        if t_pending and not t_missing:
+            for ret in t_pending:
+                found.setdefault(ret, t)
+            t_pending = ()
+        missing[depth] = t_missing
+        last[depth] = t_last
+        pending[depth] = t_pending
+    return ReturnScan(anchor=anchor, max_len=max_len, returns=found, stats=walk.stats)
 
 
 def iter_satisfying_words(constraints: ConstraintSet, max_len: int):
@@ -229,40 +312,7 @@ def iter_satisfying_words(constraints: ConstraintSet, max_len: int):
     the prefix-closed constraints. Required factors are not applied here.
     Lexicographic depth-first order.
     """
-    alphabet = constraints.alphabet.symbols
-    forbidden = sorted(constraints.forbidden_factors)
-    budget = constraints.pal_budget
-    cap = constraints.pal_length_cap
-    assumed = constraints.assumed_with_epsilon()
-    base_charge = len(assumed)
-    pals: set[str] = set()
-    raw_pals: set[str] = {""}
-
-    def recurse(s: str):
-        if len(s) >= max_len:
-            return
-        for ch in alphabet:
-            t = s + ch
-            if any(t.endswith(f) for f in forbidden):
-                continue
-            lps = _longest_palindromic_suffix(t)
-            new_pal = lps not in raw_pals
-            if new_pal:
-                if cap is not None and len(lps) > cap:
-                    continue
-                charged = base_charge + len(pals) + (0 if lps in assumed else 1)
-                if budget is not None and charged > budget:
-                    continue
-                raw_pals.add(lps)
-                if lps not in assumed:
-                    pals.add(lps)
-            yield t
-            yield from recurse(t)
-            if new_pal:
-                raw_pals.discard(lps)
-                pals.discard(lps)
-
-    yield from recurse("")
+    return (w for depth, w in PalWalk(constraints, max_len) if depth)
 
 
 @dataclass(frozen=True)
@@ -281,20 +331,16 @@ def deepest_word(constraints: ConstraintSet, hard_cap: int = 64) -> DepthScan:
     exhausted is False when some branch reached hard_cap, in which case the
     reported maximum is only a lower bound.
     """
-    stats = SearchStats()
-    best = {"len": 0, "word": "", "capped": False}
-    for w in iter_satisfying_words(constraints, hard_cap):
-        stats.nodes += 1
-        if len(w) > best["len"]:
-            best["len"], best["word"] = len(w), w
-        if len(w) >= hard_cap:
-            best["capped"] = True
-    stats.max_depth = best["len"]
+    walk = PalWalk(constraints, hard_cap)
+    witness = ""
+    for depth, w in walk:
+        if depth > len(witness):
+            witness = w
     return DepthScan(
-        max_len=best["len"],
-        witness=best["word"],
-        exhausted=not best["capped"],
-        stats=stats,
+        max_len=len(witness),
+        witness=witness,
+        exhausted=not walk.stats.leaves,
+        stats=walk.stats,
     )
 
 
@@ -338,26 +384,7 @@ def low_palindrome_words(
     """
     if not 1 <= max_letters <= 8:
         raise ValueError("max_letters must be 1..8")
-    out: list[tuple[str, int]] = []
-    raw_pals: set[str] = {""}
-    from .words import SYMBOLS
-
-    def recurse(s: str, used: int) -> None:
-        if len(s) == length:
-            out.append((s, len(raw_pals)))
-            return
-        width = min(max_letters, used + 1)
-        for ch in SYMBOLS[:width]:
-            t = s + ch
-            lps = _longest_palindromic_suffix(t)
-            new_pal = lps not in raw_pals
-            if new_pal:
-                if len(raw_pals) + 1 > budget:
-                    continue
-                raw_pals.add(lps)
-            recurse(t, max(used, SYMBOLS.index(ch) + 1))
-            if new_pal:
-                raw_pals.discard(lps)
-
-    recurse("", 0)
-    return out
+    constraints = ConstraintSet(Alphabet.of_size(max_letters), pal_budget=budget)
+    walk = PalWalk(constraints, length, canonical=True)
+    tree = walk.tree
+    return [(w, tree.distinct_palindromes + 1) for w in walk.leaves()]

@@ -99,10 +99,6 @@ class Word:
         self.text = text
         self.alphabet = alphabet
 
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(self.alphabet.index(ch) for ch in self.text)
-
     def reverse(self) -> Word:
         return Word(self.text[::-1], self.alphabet)
 

@@ -1,4 +1,4 @@
-"""Verifier behaviour: verdict structure, determinism, partitioning, replay."""
+"""Verifier behaviour: verdict structure, determinism, refutation, replay."""
 
 import json
 from dataclasses import replace
@@ -20,10 +20,13 @@ from palindromics import (
 from palindromics.claims import (
     CLAIMS,
     EXCEPTIONAL_PAL_SETS,
+    MINPAL_EXPECTATIONS,
     RETURN_CLAIMS,
     scan_min_palindromes,
     ten_palindrome_classes,
 )
+
+from conftest import all_words, naive_pal_set
 
 AB = Alphabet("ab")
 
@@ -59,14 +62,25 @@ def test_determinism():
         assert a.witnesses == b.witnesses
 
 
-def test_partitioned_scan_merges_to_full_scan():
-    full_min, full_argmin, full_n = scan_min_palindromes(AB, 9)
-    parts = [scan_min_palindromes(AB, 9, prefix=p) for p in ("a", "b")]
-    merged_min = min(p[0] for p in parts)
-    merged_argmin = sorted(sum((p[1] for p in parts if p[0] == merged_min), []))
-    assert merged_min == full_min
-    assert merged_argmin == sorted(full_argmin)
-    assert sum(p[2] for p in parts) == full_n
+def test_min_palindrome_scan_matches_oracle():
+    best, argmin, scanned = scan_min_palindromes(AB, 9)
+    counts = {w: len(naive_pal_set(w)) for w in all_words("ab", 9)}
+    assert scanned == len(counts) == 512
+    assert best == min(counts.values())
+    assert argmin == [w for w, c in counts.items() if c == best]  # lexicographic
+
+
+@pytest.mark.parametrize("cid", sorted(MINPAL_EXPECTATIONS))
+def test_minpal_claims_refute_a_wrong_expectation(cid, monkeypatch):
+    alphabet, n, expected = MINPAL_EXPECTATIONS[cid]
+    assert run_claim(cid).status == "verified"
+    monkeypatch.setitem(MINPAL_EXPECTATIONS, cid, (alphabet, n, expected + 1))
+    v = run_claim(cid)
+    assert v.status == "refuted"
+    [w] = v.witnesses
+    assert (w["min_palindromes"], w["expected"]) == (expected, expected + 1)
+    assert w["argmin"]
+    assert all(len(naive_pal_set(s)) == expected for s in w["argmin"])
 
 
 def test_minpal_scan_classes():
@@ -116,6 +130,8 @@ class TestReturnClaims:
             v = run_return_family_claim(claim)
             assert v.status == "verified-up-to-bound", cid
             assert v.bound["max_len"] == 36
+            assert v.stats["leaves"] > 0  # the bound, not the constraints, ended it
+            assert v.stats["pruned_budget"] > 0
 
     def test_budget_relaxation_refutes_with_replayable_witness(self):
         claim = RETURN_CLAIMS["returns-baaab"]

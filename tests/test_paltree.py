@@ -1,6 +1,8 @@
 """Palindromic tree behaviour against the naive enumeration oracle."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from palindromics import PalTree, Word, pal_set
 
@@ -84,3 +86,46 @@ def test_extract_after_long_run():
     # survive later growth of the underlying buffer.
     tree = PalTree("abc" * 50)
     assert set(tree.palindromes()) == {"a", "b", "c"}
+
+
+def _assert_same_as_fresh(tree, text):
+    fresh = PalTree(text)
+    assert tree.text == text
+    assert tree.node_count == fresh.node_count
+    assert tree.palindromes() == fresh.palindromes()
+    assert tree.occurrence_counts() == fresh.occurrence_counts()
+    assert tree.last_growth == fresh.last_growth
+    assert tree.suffix_node == fresh.suffix_node
+    assert set(tree.palindromes()) | {""} == naive_pal_set(text)
+
+
+@st.composite
+def undo_scripts(draw):
+    """A base text built by append, then rounds of (pop back to a depth no
+    shallower than the base, push a word)."""
+    words = st.text(alphabet=draw(st.sampled_from(["ab", "abc"])), max_size=16)
+    base = draw(words)
+    rounds = draw(
+        st.lists(st.tuples(st.integers(0, 32), words), min_size=1, max_size=6)
+    )
+    return base, rounds
+
+
+@settings(max_examples=200, deadline=None)
+@given(undo_scripts())
+def test_pop_restores_the_tree_of_the_prefix(script):
+    base, rounds = script
+    tree = PalTree(base)
+    text = base
+    for depth, word in rounds:
+        while len(text) > max(depth, len(base)):
+            tree.pop()
+            text = text[:-1]
+            _assert_same_as_fresh(tree, text)
+        for ch in word:
+            before = naive_pal_set(text)
+            text += ch
+            new = naive_pal_set(text) - before
+            # At most one new palindrome per letter, and push reports its length.
+            assert tree.push(ch) == max(map(len, new), default=0)
+            _assert_same_as_fresh(tree, text)

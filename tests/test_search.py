@@ -13,12 +13,13 @@ from palindromics import (
     scan_complete_returns,
 )
 from palindromics.search import (
+    PalWalk,
     iter_satisfying_words,
     low_palindrome_words,
     palindromes_of_length,
 )
 
-from conftest import all_words, naive_pal_set
+from conftest import all_words, naive_complete_first_returns, naive_pal_set
 
 AB = Alphabet("ab")
 
@@ -212,6 +213,101 @@ class TestReturnScan:
         c = ConstraintSet(AB)
         scan = scan_complete_returns(c, "aba", max_len=7)
         assert "ababa" in scan.returns  # overlapping pair of aba occurrences
+
+
+def _oracle_hosts(alphabet, max_len, forbidden=(), required=(), budget=None,
+                  cap=None, assumed=()):
+    """Every word of length <= max_len meeting the constraints, checked
+    whole-word with the naive oracles only."""
+    charged_base = set(assumed) | {""}
+    for n in range(max_len + 1):
+        for w in all_words(alphabet, n):
+            if any(f in w for f in forbidden):
+                continue
+            pals = naive_pal_set(w)
+            if cap is not None and max(map(len, pals)) > cap:
+                continue
+            if budget is not None and len(charged_base | pals) > budget:
+                continue
+            if all(r in w for r in required):
+                yield w
+
+
+RETURN_CASES = {
+    # name -> (ConstraintSet keyword arguments, anchor, max_len)
+    "forbidden": (dict(forbidden_factors=frozenset({"aaa", "bbb"})), "aab", 12),
+    "required-after-return": (dict(required_factors=frozenset({"bbbb"})), "aa", 12),
+    "required-before-return": (
+        dict(required_factors=frozenset({"bbabb"}), pal_length_cap=5), "ab", 12),
+    "budget-with-assumed": (
+        dict(pal_budget=9, assumed_palindromes=frozenset({"a", "b", "aa", "aba"})),
+        "ab", 12),
+    "length-cap": (dict(pal_length_cap=4), "aab", 12),
+    "everything": (
+        dict(forbidden_factors=frozenset({"aaaa"}),
+             required_factors=frozenset({"aab", "bb"}),
+             pal_budget=11, pal_length_cap=5,
+             assumed_palindromes=frozenset({"a", "b", "aa", "bb", "aba"})),
+        "aba", 12),
+    "ternary": (dict(forbidden_factors=frozenset({"cc"}),
+                     required_factors=frozenset({"ca"}), pal_budget=8), "ab", 8),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RETURN_CASES))
+def test_return_scan_matches_naive_oracle(case):
+    kwargs, anchor, max_len = RETURN_CASES[case]
+    alphabet = "abc" if case == "ternary" else "ab"
+    scan = scan_complete_returns(
+        ConstraintSet(Alphabet(alphabet), **kwargs), anchor, max_len
+    )
+    hosts = list(_oracle_hosts(
+        alphabet, max_len,
+        forbidden=kwargs.get("forbidden_factors", ()),
+        required=kwargs.get("required_factors", ()),
+        budget=kwargs.get("pal_budget"),
+        cap=kwargs.get("pal_length_cap"),
+        assumed=kwargs.get("assumed_palindromes", ()),
+    ))
+    expected = set()
+    for w in hosts:
+        expected |= naive_complete_first_returns(w, anchor)
+    assert expected, case  # every case must exercise collection
+    assert set(scan.returns) == expected
+    host_set = set(hosts)
+    for ret, host in scan.returns.items():
+        assert host in host_set
+        assert ret in naive_complete_first_returns(host, anchor)
+
+
+@pytest.mark.parametrize("case", sorted(RETURN_CASES))
+def test_walk_counters_account_for_every_extension(case):
+    kwargs, _, max_len = RETURN_CASES[case]
+    alphabet = Alphabet("abc" if case == "ternary" else "ab")
+    walk = PalWalk(ConstraintSet(alphabet, **kwargs), max_len)
+    visited = [w for _, w in walk]
+    st = walk.stats
+    # Each node below the bound tries every letter once; each try becomes a
+    # node or is pruned for exactly one reason.
+    tries = len(alphabet) * (st.nodes - st.leaves)
+    pruned = st.pruned_forbidden + st.pruned_cap + st.pruned_budget
+    assert st.nodes == len(visited)
+    assert st.leaves == sum(1 for w in visited if len(w) == max_len)
+    assert st.nodes - 1 + pruned == tries
+    assert st.max_depth == max(map(len, visited))
+    if "forbidden_factors" not in kwargs:
+        assert st.pruned_forbidden == 0
+    if "pal_length_cap" not in kwargs:
+        assert st.pruned_cap == 0
+    if "pal_budget" not in kwargs:
+        assert st.pruned_budget == 0
+
+
+def test_walk_yields_the_tree_of_each_word():
+    walk = PalWalk(ConstraintSet(Alphabet("abc"), pal_budget=7), 6)
+    for _, w in walk:
+        assert set(walk.tree.palindromes()) | {""} == naive_pal_set(w)
+        assert walk.tree.text == w
 
 
 def test_low_palindrome_words_budget4():
