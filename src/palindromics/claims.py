@@ -1,5 +1,12 @@
 """Built-in verifiers, one per computational claim the library reproduces.
 
+The registry ``CLAIMS`` maps each claim id to its one-line summary and a
+zero-argument verifier. One-off verifiers register themselves with the
+``@claim(id, summary)`` decorator; the three minimum-count scans and the four
+first-return checks are rows of data (``MINPAL_EXPECTATIONS`` and
+``RETURN_CLAIMS``) registered by a loop over those rows. ``run_claim`` times
+every verifier once and records the time as ``stats["elapsed_s"]``.
+
 Each verifier is a pure function returning a ClaimVerdict. Exhaustive scans
 over finite spaces yield 'verified'; anything whose true statement quantifies
 over infinite words is honestly downgraded to 'verified-up-to-bound' with the
@@ -10,6 +17,7 @@ witnesses.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 
 from .analysis import (
@@ -30,7 +38,7 @@ from .search import (
     matches_any,
     scan_complete_returns,
 )
-from .words import Alphabet, Word, canonical_class, factor_strings, least_period
+from .words import Alphabet, Word, canonical_class, least_period
 
 VERIFIED = "verified"
 REFUTED = "refuted"
@@ -117,13 +125,7 @@ class ClaimVerdict:
         return self.status != REFUTED
 
     def to_record(self) -> dict:
-        return {
-            "claim_id": self.claim_id,
-            "status": self.status,
-            "bound": self.bound,
-            "witnesses": self.witnesses,
-            "stats": self.stats,
-        }
+        return asdict(self)
 
     @classmethod
     def from_record(cls, record: dict) -> ClaimVerdict:
@@ -136,30 +138,38 @@ class ClaimVerdict:
         )
 
 
+# claim id -> (summary, zero-argument verifier)
+CLAIMS: dict[str, tuple[str, Callable[[], ClaimVerdict]]] = {}
+
+
+def claim(claim_id: str, summary: str):
+    """Register the decorated zero-argument verifier under claim_id."""
+
+    def register(verify):
+        CLAIMS[claim_id] = (summary, verify)
+        return verify
+
+    return register
+
+
 def _verdict(
-    claim_id: str, problems: list, bound: dict, witness: dict, stats: dict,
-    holds: str = VERIFIED,
+    claim_id: str, problems: list, bound: dict, witness: dict,
+    stats: dict | None = None, holds: str = VERIFIED,
 ) -> ClaimVerdict:
     """The holds status with the one witness when no problem was found, else
     refuted with the problems as witnesses."""
+    stats = stats or {}
     if problems:
         return ClaimVerdict(claim_id, REFUTED, bound, problems, stats)
     return ClaimVerdict(claim_id, holds, bound, [witness], stats)
 
 
 def _pals(s: str) -> set[str]:
-    out = set(PalTree(s).palindromes())
-    out.add("")
-    return out
+    return set(PalTree(s).palindromes()) | {""}
 
 
 def _pal_count(s: str) -> int:
     return PalTree(s).distinct_palindromes + 1
-
-
-def _timer():
-    t0 = time.perf_counter()
-    return lambda: round(time.perf_counter() - t0, 6)
 
 
 def _leaf_pal_counts(alphabet: Alphabet, n: int):
@@ -191,59 +201,28 @@ def scan_min_palindromes(
     return best, argmin, scanned
 
 
-def _window_closed(s: str, k: int) -> bool:
-    fs = factor_strings(s, k)
-    return all(f[::-1] in fs for f in fs)
-
-
 def minpal_scan(
-    alphabet: Alphabet,
-    n: int,
-    word_class: str = "all",
-    k: int | None = None,
-    constraints: ConstraintSet | None = None,
-    expected: int | None = None,
+    claim_id: str, alphabet: Alphabet, n: int, expected: int
 ) -> ClaimVerdict:
-    """Minimum palindrome count over all length-n words in a class.
-
-    Classes: 'all' (every word), 'closure-window' (words whose factors up to
-    length k all have their reversal present), 'constrained' (words passing a
-    ConstraintSet). Witnesses are the argmin words. When expected is given
-    and the minimum differs from it, the verdict is refuted and its witness
-    also names the expected value.
+    """Minimum palindrome count over all length-n words; the witnesses are
+    the argmin words. When the minimum differs from expected, the verdict is
+    refuted and its witness also names the expected value.
     """
-    elapsed = _timer()
-    if word_class == "all":
-        word_filter = None
-    elif word_class == "closure-window":
-        if k is None:
-            raise ValueError("closure-window scans need k")
-        word_filter = lambda s: _window_closed(s, k)
-    elif word_class == "constrained":
-        if constraints is None:
-            raise ValueError("constrained scans need a ConstraintSet")
-        word_filter = lambda s: constraints.satisfies(s)
-    else:
-        raise ValueError(f"unknown word class {word_class!r}")
-    best, argmin, scanned = scan_min_palindromes(
-        alphabet, n, word_filter=word_filter
-    )
-    bound: dict = {"alphabet": alphabet.symbols, "length": n, "class": word_class}
-    if k is not None:
-        bound["k"] = k
+    best, argmin, scanned = scan_min_palindromes(alphabet, n)
     witness = {"min_palindromes": best, "argmin": sorted(argmin)}
     return _verdict(
-        f"minpal-{alphabet.symbols}-{n}-{word_class}",
-        [] if expected in (None, best) else [{**witness, "expected": expected}],
-        bound=bound,
+        claim_id,
+        [] if best == expected else [{**witness, "expected": expected}],
+        bound={"alphabet": alphabet.symbols, "length": n, "class": "all"},
         witness=witness,
-        stats={"scanned": scanned, "elapsed_s": elapsed()},
+        stats={"scanned": scanned},
     )
 
 
+@claim("rich9",
+       "every binary word of length 9 using both letters contains at least 9 "
+       "palindromes")
 def verify_rich9() -> ClaimVerdict:
-    """Every binary word of length 9 using both letters has >= 9 palindromes."""
-    elapsed = _timer()
     best, argmin, scanned = scan_min_palindromes(
         AB, 9, word_filter=lambda w: len(set(w)) == 2
     )
@@ -254,10 +233,13 @@ def verify_rich9() -> ClaimVerdict:
         [] if best == 9 else [witness],
         bound={"alphabet": "ab", "length": 9, "letters_present": 2},
         witness=witness,
-        stats={"scanned": scanned, "elapsed_s": elapsed()},
+        stats={"scanned": scanned},
     )
 
 
+@claim("min4",
+       "length-12 words over up to 4 letters contain at least 4 palindromes; "
+       "exactly 4 only for renamings of the period-3 three-letter power")
 def verify_min4() -> ClaimVerdict:
     """Length-12 words over up to four letters all have >= 4 palindromes, and
     the ones with exactly 4 are the renamings of the period-3 pattern
@@ -267,7 +249,6 @@ def verify_min4() -> ClaimVerdict:
     """
     from .search import low_palindrome_words
 
-    elapsed = _timer()
     rows = low_palindrome_words(4, 12, budget=4)
     too_few = sorted(w for w, c in rows if c <= 3)
     exact4 = sorted(w for w, c in rows if c == 4)
@@ -282,7 +263,7 @@ def verify_min4() -> ClaimVerdict:
         problems,
         bound={"length": 12, "max_letters": 4},
         witness=witness,
-        stats={"canonical_words_within_budget": len(rows), "elapsed_s": elapsed()},
+        stats={"canonical_words_within_budget": len(rows)},
         holds=VERIFIED_UP_TO_BOUND,
     )
 
@@ -299,10 +280,10 @@ def _conjugates_of_class(word: str) -> list[str]:
     return sorted(out)
 
 
-def _period6_blocks() -> list[str]:
-    return _conjugates_of_class("aababb")
-
-
+@claim("exact9",
+       "binary length-12 words with exactly 9 palindromes are the 12 squares "
+       "of rotations of aababb and its reversal, each with the fixed 9-set; "
+       "breaking period 6 adds a 10th")
 def verify_exact9() -> ClaimVerdict:
     """The binary length-12 words with exactly 9 palindromes are exactly the
     squares of the 12 rotations of aababb and its reversal, each with the
@@ -313,8 +294,7 @@ def verify_exact9() -> ClaimVerdict:
     members misses 10 of the 12 squares; the scan pins the rotation-closed
     class and records the extra squares as witnesses of that refinement.
     """
-    elapsed = _timer()
-    blocks = _period6_blocks()
+    blocks = _conjugates_of_class("aababb")
     expected_squares = sorted(u * 2 for u in blocks)
     class_squares = sorted(
         (w * 2).text for w in canonical_class(Word("aababb")).members()
@@ -355,7 +335,7 @@ def verify_exact9() -> ClaimVerdict:
             ),
             "extensions": extension_rows,
         },
-        stats={"scanned": 4096, "elapsed_s": elapsed()},
+        stats={"scanned": 4096},
     )
 
 
@@ -372,7 +352,7 @@ def ten_palindrome_classes() -> dict[str, list[str]]:
     sq = sorted(u * 2 for u in _conjugates_of_class("aaababb"))
     flanked = set()
     tailed = set()
-    for u in _period6_blocks():
+    for u in _conjugates_of_class("aababb"):
         w2 = u * 2
         for a in "ab":
             for b in "ab":
@@ -390,18 +370,10 @@ def ten_palindrome_classes() -> dict[str, list[str]]:
     }
 
 
-def flanked_decompositions(word: str) -> list[tuple[str, str, str]]:
-    """All (flank, square, tail) decompositions certifying flanked membership."""
-    out = []
-    blocks = set(_period6_blocks())
-    w2 = word[1:-1]
-    if len(w2) == 12 and w2[:6] == w2[6:] and w2[:6] in blocks:
-        a, b = word[0], word[-1]
-        if least_period(a + w2) != 6 and least_period(w2 + b) == 6:
-            out.append((a, w2, b))
-    return out
-
-
+@claim("exact10",
+       "binary length-14 words with exactly 10 palindromes partition into the "
+       "rotation-closed square, flanked and tailed families, all with longest "
+       "palindrome at most 6")
 def verify_exact10() -> ClaimVerdict:
     """Every binary length-14 word with exactly 10 palindromes falls in
     exactly one of the three rotation-closed families, and the longest
@@ -411,7 +383,6 @@ def verify_exact10() -> ClaimVerdict:
     aababbb is a renaming of the reversal of aaababb; the scan checks that
     coincidence too.
     """
-    elapsed = _timer()
     classes = ten_palindrome_classes()
     exact10 = {w for w, c in _leaf_pal_counts(AB, 14) if c == 10}
     union = set().union(*classes.values())
@@ -446,10 +417,13 @@ def verify_exact10() -> ClaimVerdict:
         problems,
         bound={"alphabet": "ab", "length": 14},
         witness={"classes": classes, "exactly_ten_count": len(exact10)},
-        stats={"scanned": 16384, "elapsed_s": elapsed()},
+        stats={"scanned": 16384},
     )
 
 
+@claim("extend11",
+       "single-letter extensions of the 10-palindrome families reach exactly 11 "
+       "palindromes unless the stated period is preserved")
 def verify_extend11() -> ClaimVerdict:
     """Single-letter extensions of the 10-palindrome families contain exactly
     11 palindromes unless the letter preserves the stated period.
@@ -462,7 +436,6 @@ def verify_extend11() -> ClaimVerdict:
     witnesses of the needed reading). Tailed words reach exactly 11 for every
     gamma.
     """
-    elapsed = _timer()
     classes = ten_palindrome_classes()
     problems: list = []
     checked = 0
@@ -481,20 +454,21 @@ def verify_extend11() -> ClaimVerdict:
                      "expected_periodic_count": 10}
                 )
     for s in classes["flanked"]:
-        for a, w2, b in flanked_decompositions(s):
-            for g in "ab":
-                if least_period(w2 + b + g) == 6:
-                    continue
-                checked += 1
-                c_full = _pal_count(a + w2 + b + g)
-                if c_full != 11:
-                    problems.append(
-                        {"family": "flanked", "word": a + w2 + b + g,
-                         "palindromes": c_full}
-                    )
-                flankless_rows.append(
-                    {"word": w2 + b + g, "palindromes": _pal_count(w2 + b + g)}
+        # A flanked word is flank letter, period-6 square, tail letter.
+        a, w2, b = s[0], s[1:-1], s[-1]
+        for g in "ab":
+            if least_period(w2 + b + g) == 6:
+                continue
+            checked += 1
+            c_full = _pal_count(a + w2 + b + g)
+            if c_full != 11:
+                problems.append(
+                    {"family": "flanked", "word": a + w2 + b + g,
+                     "palindromes": c_full}
                 )
+            flankless_rows.append(
+                {"word": w2 + b + g, "palindromes": _pal_count(w2 + b + g)}
+            )
     for s in classes["tailed"]:
         for g in "ab":
             t = s + g
@@ -511,16 +485,17 @@ def verify_extend11() -> ClaimVerdict:
             "extensions_checked": checked,
             "flankless_words_stopping_at_10": flankless_rows,
         },
-        stats={"elapsed_s": elapsed()},
     )
 
 
+@claim("need-squares",
+       "850 non-rich binary words of length 12; palindrome sets missing aa or bb "
+       "are exactly the four exceptional 12-element sets")
 def verify_need_squares() -> ClaimVerdict:
     """There are 850 non-rich binary words of length 12, and among their
     palindrome sets the only ones missing aa or bb are the four exceptional
     12-element sets (witnessed by aaababaabaaa hitting the fourth).
     """
-    elapsed = _timer()
     nonrich = []
     exceptional: dict[frozenset, str] = {}
     walk = PalWalk(ConstraintSet(AB), 12)
@@ -555,10 +530,14 @@ def verify_need_squares() -> ClaimVerdict:
             ],
             "witness_words": sorted(exceptional.values()),
         },
-        stats={"scanned": 4096, "elapsed_s": elapsed()},
+        stats={"scanned": 4096},
     )
 
 
+@claim("maxpal-bounds",
+       "longest-palindrome bounds: palindromes of length at most 3 only for a "
+       "finite tree of words; aabbab power peaks at 4; maxpal5 recursion at 5 "
+       "with a 15-element set; only two first returns to aab in the capped regime")
 def verify_maxpal_bounds() -> ClaimVerdict:
     """Bounds on the longest palindromic factor of binary words: the words
     whose palindromes all have length <= 3 form a finite tree (the exhaustive
@@ -567,7 +546,6 @@ def verify_maxpal_bounds() -> ClaimVerdict:
     length 5; and under the no-aaa/no-bbb, max-length-4 regime the only
     complete first returns to aab are aababbaab and aabbabaab.
     """
-    elapsed = _timer()
     problems: list = []
 
     cap3 = ConstraintSet(AB, pal_length_cap=3)
@@ -611,18 +589,19 @@ def verify_maxpal_bounds() -> ClaimVerdict:
         stats={
             "extension": asdict(depth.stats),
             "returns": asdict(returns_scan.stats),
-            "elapsed_s": elapsed(),
         },
         holds=VERIFIED_UP_TO_BOUND,
     )
 
 
+@claim("closed13",
+       "the closed13 recursion keeps exactly 13 palindromes from the second term "
+       "on and shows no missing reversal up to factor length 8")
 def verify_closed13() -> ClaimVerdict:
     """Every recursion term of the closed13 word from the second on has
     exactly the fixed 13-element palindrome set, and the stream shows no
     missing reversal for factors up to length 8 within a 4096 horizon.
     """
-    elapsed = _timer()
     stream_factory = PRESETS["closed13"][1]
     stream = stream_factory()
     problems: list = []
@@ -644,15 +623,11 @@ def verify_closed13() -> ClaimVerdict:
             "pal_set": sorted(CLOSED13_PAL_SET, key=lambda p: (len(p), p)),
             "closed_up_to": closure.closed_up_to,
         },
-        stats={"elapsed_s": elapsed()},
         holds=VERIFIED_UP_TO_BOUND,
     )
 
 
 # --- first-return family claims -------------------------------------------
-
-BASE9 = PERIOD6_PAL_SET
-
 
 @dataclass(frozen=True)
 class ReturnFamilyClaim:
@@ -660,92 +635,93 @@ class ReturnFamilyClaim:
     any word satisfying the constraints, belongs to one of the families."""
 
     claim_id: str
+    summary: str
     constraints: ConstraintSet
     anchor: str
     families: tuple[FamilyTemplate, ...]
     max_len: int = 36
 
 
-def _return_claims() -> dict[str, ReturnFamilyClaim]:
-    claims = {}
-
-    # Context: aabaa and aaabaab present, aaaa excluded; the twelve
-    # palindromes below are forced, so the budget of 12 admits nothing new.
-    claims["returns-abaaab"] = ReturnFamilyClaim(
-        claim_id="returns-abaaab",
-        constraints=ConstraintSet(
-            AB,
-            forbidden_factors=frozenset({"aaaa"}),
-            required_factors=frozenset({"aaabaab"}),
-            pal_budget=12,
-            assumed_palindromes=BASE9 | {"aabaa", "aaa", "baaab"},
+RETURN_CLAIMS = {
+    c.claim_id: c
+    for c in (
+        # Context: aabaa and aaabaab present, aaaa excluded; the twelve
+        # palindromes below are forced, so the budget of 12 admits nothing new.
+        ReturnFamilyClaim(
+            "returns-abaaab",
+            "bounded check of the complete-first-return family for abaaab under "
+            "the twelve forced palindromes",
+            ConstraintSet(
+                AB,
+                forbidden_factors=frozenset({"aaaa"}),
+                required_factors=frozenset({"aaabaab"}),
+                pal_budget=12,
+                assumed_palindromes=PERIOD6_PAL_SET | {"aabaa", "aaa", "baaab"},
+            ),
+            "abaaab",
+            (FamilyTemplate("abaaab", "babaab", "babaaab", n_min=0),),
         ),
-        anchor="abaaab",
-        families=(FamilyTemplate("abaaab", "babaab", "babaaab", n_min=0),),
+        # Context: baabaab present (hence aabaa); eleven forced palindromes,
+        # budget 12 leaves room for one more.
+        ReturnFamilyClaim(
+            "returns-baabaab",
+            "bounded check of the two complete-first-return families for baabaab",
+            ConstraintSet(
+                AB,
+                required_factors=frozenset({"baabaab"}),
+                pal_budget=12,
+                assumed_palindromes=PERIOD6_PAL_SET | {"aabaa", "baabaab"},
+            ),
+            "baabaab",
+            (
+                FamilyTemplate("baabaab", "babaab", "aab", n_min=1),
+                FamilyTemplate("baabaab", "abbaab", "aab", n_min=1),
+            ),
+        ),
+        # Context: babab and abababb present (hence ababa); eleven forced
+        # palindromes.
+        ReturnFamilyClaim(
+            "returns-ababa",
+            "bounded check of the two complete-first-return families for ababa",
+            ConstraintSet(
+                AB,
+                required_factors=frozenset({"abababb"}),
+                pal_budget=12,
+                assumed_palindromes=PERIOD6_PAL_SET | {"babab", "ababa"},
+            ),
+            "ababa",
+            (
+                FamilyTemplate("ababa", "bbaaba", "ba", n_min=0),
+                FamilyTemplate("ababa", "abbaba", "ba", n_min=0),
+            ),
+        ),
+        # Context: baaab is the only length-5 palindrome, aaaa and bbb
+        # excluded, abaaabb present; eleven forced palindromes.
+        ReturnFamilyClaim(
+            "returns-baaab",
+            "bounded check of the four first-return types for baaab when it is "
+            "the only length-5 palindrome",
+            ConstraintSet(
+                AB,
+                forbidden_factors=frozenset({"aaaa", "bbb"})
+                | forbid_other_palindromes(AB, 5, {"baaab"}),
+                required_factors=frozenset({"abaaabb"}),
+                pal_budget=12,
+                assumed_palindromes=PERIOD6_PAL_SET | {"aaa", "baaab"},
+            ),
+            "baaab",
+            (
+                FamilyTemplate("baaab", "baabab", "baaab", n_min=1),
+                FamilyTemplate("baaab", "babaab", "baaab", n_min=1),
+                FamilyTemplate("baaab", "abbaab", "abbaaab", n_min=0),
+                FamilyTemplate("baaab", "babaab", "babaaab", n_min=0),
+            ),
+        ),
     )
-
-    # Context: baabaab present (hence aabaa); eleven forced palindromes,
-    # budget 12 leaves room for one more.
-    claims["returns-baabaab"] = ReturnFamilyClaim(
-        claim_id="returns-baabaab",
-        constraints=ConstraintSet(
-            AB,
-            required_factors=frozenset({"baabaab"}),
-            pal_budget=12,
-            assumed_palindromes=BASE9 | {"aabaa", "baabaab"},
-        ),
-        anchor="baabaab",
-        families=(
-            FamilyTemplate("baabaab", "babaab", "aab", n_min=1),
-            FamilyTemplate("baabaab", "abbaab", "aab", n_min=1),
-        ),
-    )
-
-    # Context: babab and abababb present (hence ababa); eleven forced
-    # palindromes.
-    claims["returns-ababa"] = ReturnFamilyClaim(
-        claim_id="returns-ababa",
-        constraints=ConstraintSet(
-            AB,
-            required_factors=frozenset({"abababb"}),
-            pal_budget=12,
-            assumed_palindromes=BASE9 | {"babab", "ababa"},
-        ),
-        anchor="ababa",
-        families=(
-            FamilyTemplate("ababa", "bbaaba", "ba", n_min=0),
-            FamilyTemplate("ababa", "abbaba", "ba", n_min=0),
-        ),
-    )
-
-    # Context: baaab is the only length-5 palindrome, aaaa and bbb excluded,
-    # abaaabb present; eleven forced palindromes.
-    claims["returns-baaab"] = ReturnFamilyClaim(
-        claim_id="returns-baaab",
-        constraints=ConstraintSet(
-            AB,
-            forbidden_factors=frozenset({"aaaa", "bbb"})
-            | forbid_other_palindromes(AB, 5, {"baaab"}),
-            required_factors=frozenset({"abaaabb"}),
-            pal_budget=12,
-            assumed_palindromes=BASE9 | {"aaa", "baaab"},
-        ),
-        anchor="baaab",
-        families=(
-            FamilyTemplate("baaab", "baabab", "baaab", n_min=1),
-            FamilyTemplate("baaab", "babaab", "baaab", n_min=1),
-            FamilyTemplate("baaab", "abbaab", "abbaaab", n_min=0),
-            FamilyTemplate("baaab", "babaab", "babaaab", n_min=0),
-        ),
-    )
-    return claims
-
-
-RETURN_CLAIMS = _return_claims()
+}
 
 
 def run_return_family_claim(claim: ReturnFamilyClaim) -> ClaimVerdict:
-    elapsed = _timer()
     scan = scan_complete_returns(claim.constraints, claim.anchor, claim.max_len)
     offenders = sorted(
         r for r in scan.returns if not matches_any(r, claim.families)
@@ -759,11 +735,7 @@ def run_return_family_claim(claim: ReturnFamilyClaim) -> ClaimVerdict:
             "families": [f.describe() for f in claim.families],
             "returns_seen": matched,
         },
-        stats={
-            **asdict(scan.stats),
-            "returns_found": len(scan.returns),
-            "elapsed_s": elapsed(),
-        },
+        stats={**asdict(scan.stats), "returns_found": len(scan.returns)},
         holds=VERIFIED_UP_TO_BOUND,
     )
 
@@ -797,11 +769,13 @@ STREAM_EXPECTATIONS = {
 }
 
 
+@claim("stream-pal-counts",
+       "stabilized palindrome inventories of the named streams match their "
+       "expected counts, longest lengths and pinned sets")
 def verify_stream_pal_counts() -> ClaimVerdict:
     """The named streams stabilize on their expected palindrome inventories:
     counts, longest lengths, and (where the full set is pinned) exact sets.
     """
-    elapsed = _timer()
     problems: list = []
     rows = []
     for name, (count, longest_len, exact) in sorted(STREAM_EXPECTATIONS.items()):
@@ -833,7 +807,6 @@ def verify_stream_pal_counts() -> ClaimVerdict:
         problems,
         bound={"stabilizer_cap": 16384},
         witness={"streams": rows},
-        stats={"elapsed_s": elapsed()},
         holds=VERIFIED_UP_TO_BOUND,
     )
 
@@ -849,12 +822,14 @@ CLOSURE_EXPECTATIONS = {
 }
 
 
+@claim("closure-checks",
+       "window reversal-closure checks: recursions closed, images and "
+       "paperfolding each missing a known reversal")
 def verify_closure_checks() -> ClaimVerdict:
     """Reversal-closure window checks: the reversal-closure recursions show
     no missing reversal, while the paperfolding word and the two Fibonacci
     images each miss a specific short factor's reversal.
     """
-    elapsed = _timer()
     problems: list = []
     rows = []
     for name, (k, horizon, closed, pair) in sorted(CLOSURE_EXPECTATIONS.items()):
@@ -879,7 +854,6 @@ def verify_closure_checks() -> ClaimVerdict:
         problems,
         bound={"horizon": 4096},
         witness={"streams": rows},
-        stats={"elapsed_s": elapsed()},
         holds=VERIFIED_UP_TO_BOUND,
     )
 
@@ -888,106 +862,32 @@ def verify_closure_checks() -> ClaimVerdict:
 
 
 MINPAL_EXPECTATIONS = {
-    # claim id -> (alphabet, word length, least palindrome count stated)
-    "minpal-b9": (AB, 9, 9),
-    "minpal-b12": (AB, 12, 9),
-    "minpal-t9": (ABC, 9, 4),
-}
-
-
-def _run_minpal(claim_id: str) -> ClaimVerdict:
-    alphabet, n, expected = MINPAL_EXPECTATIONS[claim_id]
-    v = minpal_scan(alphabet, n, expected=expected)
-    v.claim_id = claim_id
-    return v
-
-
-CLAIMS: dict[str, tuple[str, object]] = {
-    "rich9": (
-        "every binary word of length 9 using both letters contains at least 9 palindromes",
-        verify_rich9,
-    ),
-    "min4": (
-        "length-12 words over up to 4 letters contain at least 4 palindromes; "
-        "exactly 4 only for renamings of the period-3 three-letter power",
-        verify_min4,
-    ),
-    "exact9": (
-        "binary length-12 words with exactly 9 palindromes are the 12 squares "
-        "of rotations of aababb and its reversal, each with the fixed 9-set; "
-        "breaking period 6 adds a 10th",
-        verify_exact9,
-    ),
-    "exact10": (
-        "binary length-14 words with exactly 10 palindromes partition into the "
-        "rotation-closed square, flanked and tailed families, all with longest "
-        "palindrome at most 6",
-        verify_exact10,
-    ),
-    "extend11": (
-        "single-letter extensions of the 10-palindrome families reach exactly 11 "
-        "palindromes unless the stated period is preserved",
-        verify_extend11,
-    ),
-    "need-squares": (
-        "850 non-rich binary words of length 12; palindrome sets missing aa or bb "
-        "are exactly the four exceptional 12-element sets",
-        verify_need_squares,
-    ),
-    "maxpal-bounds": (
-        "longest-palindrome bounds: palindromes of length at most 3 only for a "
-        "finite tree of words; aabbab power peaks at 4; maxpal5 recursion at 5 "
-        "with a 15-element set; only two first returns to aab in the capped regime",
-        verify_maxpal_bounds,
-    ),
-    "closed13": (
-        "the closed13 recursion keeps exactly 13 palindromes from the second term "
-        "on and shows no missing reversal up to factor length 8",
-        verify_closed13,
-    ),
-    "returns-abaaab": (
-        "bounded check of the complete-first-return family for abaaab under the "
-        "twelve forced palindromes",
-        lambda: run_return_family_claim(RETURN_CLAIMS["returns-abaaab"]),
-    ),
-    "returns-baabaab": (
-        "bounded check of the two complete-first-return families for baabaab",
-        lambda: run_return_family_claim(RETURN_CLAIMS["returns-baabaab"]),
-    ),
-    "returns-ababa": (
-        "bounded check of the two complete-first-return families for ababa",
-        lambda: run_return_family_claim(RETURN_CLAIMS["returns-ababa"]),
-    ),
-    "returns-baaab": (
-        "bounded check of the four first-return types for baaab when it is the "
-        "only length-5 palindrome",
-        lambda: run_return_family_claim(RETURN_CLAIMS["returns-baaab"]),
-    ),
+    # claim id -> (summary, alphabet, word length, least palindrome count stated)
     "minpal-b9": (
         "minimum palindrome count over binary length-9 words is 9",
-        lambda: _run_minpal("minpal-b9"),
+        AB, 9, 9,
     ),
     "minpal-b12": (
         "minimum palindrome count over binary length-12 words is 9, attained "
         "only by the 12 squares of rotations of aababb and its reversal",
-        lambda: _run_minpal("minpal-b12"),
+        AB, 12, 9,
     ),
     "minpal-t9": (
         "minimum palindrome count over ternary length-9 words is 4, attained by "
         "period-3 powers",
-        lambda: _run_minpal("minpal-t9"),
-    ),
-    "stream-pal-counts": (
-        "stabilized palindrome inventories of the named streams match their "
-        "expected counts, longest lengths and pinned sets",
-        verify_stream_pal_counts,
-    ),
-    "closure-checks": (
-        "window reversal-closure checks: recursions closed, images and "
-        "paperfolding each missing a known reversal",
-        verify_closure_checks,
+        ABC, 9, 4,
     ),
 }
+
+# The rows are looked up when the claim runs, so an edited row takes effect.
+for _cid, _row in MINPAL_EXPECTATIONS.items():
+    claim(_cid, _row[0])(
+        lambda cid=_cid: minpal_scan(cid, *MINPAL_EXPECTATIONS[cid][1:])
+    )
+for _cid, _row in RETURN_CLAIMS.items():
+    claim(_cid, _row.summary)(
+        lambda cid=_cid: run_return_family_claim(RETURN_CLAIMS[cid])
+    )
 
 
 def manifest() -> list[dict]:
@@ -998,23 +898,19 @@ def manifest() -> list[dict]:
 
 
 def run_claim(claim_id: str) -> ClaimVerdict:
+    """Run one registered claim, recording its wall time in stats."""
     try:
-        runner = CLAIMS[claim_id][1]
+        verify = CLAIMS[claim_id][1]
     except KeyError:
         raise KeyError(
             f"unknown claim {claim_id!r}; known claims: {', '.join(sorted(CLAIMS))}"
         ) from None
-    return runner()
+    t0 = time.perf_counter()
+    verdict = verify()
+    verdict.stats["elapsed_s"] = round(time.perf_counter() - t0, 6)
+    return verdict
 
 
-def run_all(jobs: int = 1) -> list[ClaimVerdict]:
-    """Run every built-in claim; output is ordered by claim id regardless of
-    completion order."""
-    ids = sorted(CLAIMS)
-    if jobs <= 1:
-        return [run_claim(cid) for cid in ids]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        verdicts = list(pool.map(run_claim, ids))
-    return verdicts
+def run_all() -> list[ClaimVerdict]:
+    """Run every built-in claim serially, in claim-id order."""
+    return [run_claim(cid) for cid in sorted(CLAIMS)]

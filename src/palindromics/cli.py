@@ -17,7 +17,7 @@ from .analysis import (
 )
 from .claims import CLAIMS, manifest, run_all, run_claim
 from .generators import UnknownGeneratorError, preset_names, resolve_generator
-from .search import ENUMERATION_GUARD, enumerate_words
+from .search import enumerate_words
 from .words import Alphabet, Word, least_period
 
 
@@ -162,7 +162,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.claim == "all":
-        verdicts = run_all(jobs=args.jobs)
+        verdicts = run_all()
     elif args.claim == "list":
         for entry in manifest():
             print(f"{entry['claim_id']}: {entry['summary']}")
@@ -188,21 +188,25 @@ def _cmd_verify(args) -> int:
 def _cmd_enumerate(args) -> int:
     alphabet = _parse_alphabet(args.alphabet)
     pred = _parse_filter(args.filter)
-    if len(alphabet) ** args.n > ENUMERATION_GUARD:
-        print("enumeration exceeds the guard", file=sys.stderr)
-        return 2
-    shown = 0
+    words = (
+        w.text
+        for w in enumerate_words(alphabet, args.n, dedupe=args.dedupe)
+        if pred(w)
+    )
+    if args.format == "json":
+        record = {"alphabet": alphabet.symbols, "n": args.n, "dedupe": args.dedupe,
+                  "filter": args.filter, "words": list(words)}
+        _emit(record, args.format, [])
+        return 0
     comment = f"# words over {alphabet.symbols!r}, length {args.n}"
     if args.filter:
         comment += f", filter {args.filter!r}"
-    if args.format == "text":
-        print(comment)
-    for w in enumerate_words(alphabet, args.n, dedupe=args.dedupe):
-        if pred(w):
-            print(w.text)
-            shown += 1
-    if args.format == "text":
-        print(f"# {shown} word(s)")
+    print(comment)
+    shown = 0
+    for text in words:  # streamed: the text mode never holds the word list
+        print(text)
+        shown += 1
+    print(f"# {shown} word(s)")
     return 0
 
 
@@ -253,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run built-in claim verifiers")
     p_ver.add_argument("claim", help="claim id, 'all', or 'list'")
-    p_ver.add_argument("--jobs", type=int, default=1,
-                       help="parallel workers for 'all'")
     add_format(p_ver)
     p_ver.set_defaults(func=_cmd_verify)
 

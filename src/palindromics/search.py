@@ -20,13 +20,12 @@ ENUMERATION_GUARD = 10**8
 
 @dataclass(frozen=True)
 class FamilyTemplate:
-    """Words of the shape prefix . block^n . suffix for n in [n_min, n_max]."""
+    """Words of the shape prefix . block^n . suffix for n >= n_min."""
 
     prefix: str
     block: str
     suffix: str
     n_min: int = 0
-    n_max: int | None = None
 
     def __post_init__(self):
         if not self.block:
@@ -40,7 +39,7 @@ class FamilyTemplate:
         if body < 0 or body % len(self.block):
             return False
         n = body // len(self.block)
-        if n < self.n_min or (self.n_max is not None and n > self.n_max):
+        if n < self.n_min:
             return False
         return word == self.prefix + self.block * n + self.suffix
 
@@ -48,10 +47,7 @@ class FamilyTemplate:
         return self.prefix + self.block * n + self.suffix
 
     def describe(self) -> str:
-        rng = f"n>={self.n_min}"
-        if self.n_max is not None:
-            rng = f"{self.n_min}<=n<={self.n_max}"
-        return f"{self.prefix}({self.block})^n{self.suffix} for {rng}"
+        return f"{self.prefix}({self.block})^n{self.suffix} for n>={self.n_min}"
 
 
 def matches_any(word: str, families) -> bool:
@@ -349,7 +345,8 @@ def enumerate_words(alphabet: Alphabet, n: int, dedupe: str = "none"):
 
     dedupe='iso' keeps one representative per renaming-or-reversal class
     (the lexicographically least member). Guarded against enumerations
-    beyond 10**8 raw words.
+    beyond 10**8 raw words; the arguments and the guard are checked before
+    the generator is returned, so a bad call raises at once.
     """
     from .words import canonical_class
 
@@ -363,12 +360,10 @@ def enumerate_words(alphabet: Alphabet, n: int, dedupe: str = "none"):
             f"enumeration of {len(alphabet)}^{n} = {space} words exceeds the "
             f"{ENUMERATION_GUARD} guard"
         )
-    for tup in product(alphabet.symbols, repeat=n):
-        text = "".join(tup)
-        w = Word(text, alphabet)
-        if dedupe == "iso" and canonical_class(w).canonical.text != text:
-            continue
-        yield w
+    words = (Word("".join(t), alphabet) for t in product(alphabet.symbols, repeat=n))
+    if dedupe == "iso":
+        return (w for w in words if canonical_class(w).canonical.text == w.text)
+    return words
 
 
 def low_palindrome_words(

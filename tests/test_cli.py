@@ -148,6 +148,25 @@ def test_enumerate_iso_dedupe(capsys):
     assert words == ["aa", "ab"]
 
 
+def test_enumerate_json_is_one_document(capsys):
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--alphabet", "ab", "--n", "3",
+        "--filter", "avoids:ab", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out) == {
+        "alphabet": "ab", "n": 3, "dedupe": "none", "filter": "avoids:ab",
+        "words": ["aaa", "baa", "bba", "bbb"],
+    }
+
+
+def test_enumerate_over_guard_exit_2(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--alphabet", "ab", "--n", "40")
+    assert code == 2
+    assert out == ""
+    assert "guard" in err
+
+
 def test_enumerate_bad_filter_exit_2(capsys):
     code, _, err = run_cli(
         capsys, "enumerate", "--alphabet", "ab", "--n", "3",

@@ -60,11 +60,6 @@ class TestFamilyTemplate:
         assert not fam.matches("baaab" + "baaab")  # n = 0 excluded
         assert not fam.matches("baaab" + "baabab"[:-1] + "baaab")
 
-    def test_n_max(self):
-        fam = FamilyTemplate("a", "b", "", n_min=0, n_max=2)
-        assert fam.matches("abb")
-        assert not fam.matches("abbb")
-
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError, match="block"):
             FamilyTemplate("a", "", "b")
