@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .paltree import PalTree
 from .streams import PrefixStream
@@ -43,64 +43,28 @@ class PalReport:
             "palindromes": list(self.palindromes),
         }
 
-    @classmethod
-    def from_record(cls, record: dict) -> PalReport:
-        pals = tuple(record["palindromes"])
-        return cls(
-            word_length=record["word_length"],
-            palindromes=pals,
-            count=record["count"],
-            longest=record["longest"],
-            per_length={int(k): v for k, v in record["per_length"].items()},
-            richness_defect=record["word_length"] + 1 - record["count"],
-        )
-
-
-def _report_from_pals(word_length: int, pals: set[str], longest: str) -> PalReport:
-    per_length: dict[int, int] = {}
-    for p in pals:
-        per_length[len(p)] = per_length.get(len(p), 0) + 1
-    return PalReport(
-        word_length=word_length,
-        palindromes=_sorted_pals(pals),
-        count=len(pals),
-        longest=longest,
-        per_length=per_length,
-        richness_defect=word_length + 1 - len(pals),
-    )
-
 
 def pal_set(w: Word | str) -> PalReport:
     """Exact set of distinct palindromic factors of w, including the empty word.
 
-    Runs in O(|w| * |alphabet|) time through the palindromic tree.
+    Runs in O(|w| * |alphabet|) time through the palindromic tree. The tree
+    lists palindromes in order of first occurrence, so the longest reported
+    is the earliest to occur among those of maximal length.
     """
     s = _text(w)
-    tree = PalTree(s)
-    pals = {""}
-    longest, longest_end = "", -1
-    for p, end in tree.palindromes_with_first_end():
-        pals.add(p)
-        start = end - len(p) + 1
-        if len(p) > len(longest) or (
-            len(p) == len(longest) and start < longest_end - len(longest) + 1
-        ):
-            longest, longest_end = p, end
-    return _report_from_pals(len(s), pals, longest)
-
-
-def is_rich(w: Word | str) -> bool:
-    """True when w attains the maximum possible count of |w| + 1 palindromes."""
-    return pal_set(w).count == len(_text(w)) + 1
-
-
-def longest_palindrome(w: Word | str) -> Word:
-    """A maximum-length palindromic factor; ties go to the earliest occurrence."""
-    report = pal_set(w)
-    alpha = w.alphabet if isinstance(w, Word) else None
-    if alpha is not None:
-        return Word(report.longest, alpha)
-    return Word(report.longest) if report.longest else Word("")
+    found = PalTree(s).palindromes()
+    pals = {"", *found}
+    per_length: dict[int, int] = {}
+    for p in pals:
+        per_length[len(p)] = per_length.get(len(p), 0) + 1
+    return PalReport(
+        word_length=len(s),
+        palindromes=_sorted_pals(pals),
+        count=len(pals),
+        longest=max(found, key=len, default=""),
+        per_length=per_length,
+        richness_defect=len(s) + 1 - len(pals),
+    )
 
 
 @dataclass(frozen=True)
@@ -115,9 +79,6 @@ class CompleteReturns:
     anchor: str
     anchor_found: bool
     returns: tuple[str, ...]
-
-    def words(self) -> list[Word]:
-        return [Word(r) for r in self.returns]
 
 
 def complete_first_returns(w: Word | str, v: Word | str) -> CompleteReturns:
@@ -182,30 +143,18 @@ class StabilizedPalSet:
             "palindromes": list(self.palindromes),
         }
 
-    @classmethod
-    def from_record(cls, record: dict) -> StabilizedPalSet:
-        return cls(
-            palindromes=tuple(record["palindromes"]),
-            count=record["count"],
-            stable_horizon=record["stable_horizon"],
-            checked_horizon=record["checked_horizon"],
-            stable=record["flag"] == "stable",
-        )
 
-
-def stabilized_pal_set(
-    s: PrefixStream, start: int = 16, cap: int = 16384
-) -> StabilizedPalSet:
+def stabilized_pal_set(s: PrefixStream, cap: int = 16384) -> StabilizedPalSet:
     """Grow a prefix of s until its palindrome set survives a doubling window.
 
-    Whenever a new palindrome appears at horizon h the scan continues to at
-    least 2h. Stops once the set is unchanged from stable_horizon up to
-    checked_horizon >= 2 * stable_horizon, or at the cap.
+    The scan starts at horizon 16; whenever a new palindrome appears at
+    horizon h it continues to at least 2h. Stops once the set is unchanged
+    from stable_horizon up to checked_horizon >= 2 * stable_horizon, or at
+    the cap.
     """
-    if start < 1:
-        raise ValueError("start must be at least 1")
+    start = 16
     if cap < 2 * start:
-        raise ValueError("cap must be at least twice the start horizon")
+        raise ValueError(f"cap must be at least {2 * start}")
     tree = PalTree()
     fed = 0
     while True:
@@ -254,17 +203,6 @@ class ClosureReport:
             "witness_missing": [list(pair) for pair in self.witness_missing],
             "closed_up_to": self.closed_up_to,
         }
-
-    @classmethod
-    def from_record(cls, record: dict) -> ClosureReport:
-        return cls(
-            k=record["k"],
-            horizon=record["horizon"],
-            witness_missing=tuple(
-                (u, r) for u, r in record["witness_missing"]
-            ),
-            closed_up_to=record["closed_up_to"],
-        )
 
 
 def reversal_closure_check(

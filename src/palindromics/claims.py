@@ -127,16 +127,6 @@ class ClaimVerdict:
     def to_record(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_record(cls, record: dict) -> ClaimVerdict:
-        return cls(
-            claim_id=record["claim_id"],
-            status=record["status"],
-            bound=record["bound"],
-            witnesses=record["witnesses"],
-            stats=record.get("stats", {}),
-        )
-
 
 # claim id -> (summary, zero-argument verifier)
 CLAIMS: dict[str, tuple[str, Callable[[], ClaimVerdict]]] = {}

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 
 from .analysis import (
@@ -35,49 +36,59 @@ def _parse_alphabet(value: str) -> Alphabet:
     return Alphabet(value)
 
 
+_COMPARE = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
+
+
 def _parse_filter(expr: str | None):
     """Filter expressions: comma-separated clauses, all of which must hold.
 
     Clauses: rich | nonrich | palcount==N | palcount<=N | palcount>=N
     | contains:<word> | avoids:<word> | period==N | maxpal<=N
+
+    Clauses on the word run first; the clauses on its palindromes then share
+    one pal_set report, built only for words that passed the others.
     """
     if not expr:
         return lambda w: True
-    clauses = []
+    on_word, on_report = [], []
     for raw in expr.split(","):
         clause = raw.strip()
         if not clause:
             continue
         if clause == "rich":
-            clauses.append(lambda w: pal_set(w).count == len(w) + 1)
+            on_report.append(lambda r: r.richness_defect == 0)
         elif clause == "nonrich":
-            clauses.append(lambda w: pal_set(w).count < len(w) + 1)
+            on_report.append(lambda r: r.richness_defect > 0)
         elif clause.startswith("palcount"):
-            op = clause[len("palcount") : len("palcount") + 2]
-            n = int(clause[len("palcount") + 2 :])
-            if op == "==":
-                clauses.append(lambda w, n=n: pal_set(w).count == n)
-            elif op == "<=":
-                clauses.append(lambda w, n=n: pal_set(w).count <= n)
-            elif op == ">=":
-                clauses.append(lambda w, n=n: pal_set(w).count >= n)
-            else:
+            compare = _COMPARE.get(clause[len("palcount") : len("palcount") + 2])
+            if compare is None:
                 raise ValueError(f"bad palcount clause {clause!r}")
+            n = int(clause[len("palcount") + 2 :])
+            on_report.append(lambda r, c=compare, n=n: c(r.count, n))
         elif clause.startswith("contains:"):
             needle = clause.split(":", 1)[1]
-            clauses.append(lambda w, s=needle: s in w.text)
+            on_word.append(lambda w, s=needle: s in w.text)
         elif clause.startswith("avoids:"):
             needle = clause.split(":", 1)[1]
-            clauses.append(lambda w, s=needle: s not in w.text)
+            on_word.append(lambda w, s=needle: s not in w.text)
         elif clause.startswith("period=="):
             n = int(clause.split("==", 1)[1])
-            clauses.append(lambda w, n=n: least_period(w) == n)
+            on_word.append(lambda w, n=n: least_period(w) == n)
         elif clause.startswith("maxpal<="):
             n = int(clause.split("<=", 1)[1])
-            clauses.append(lambda w, n=n: len(pal_set(w).longest) <= n)
+            on_report.append(lambda r, n=n: len(r.longest) <= n)
         else:
             raise ValueError(f"unknown filter clause {clause!r}")
-    return lambda w: all(c(w) for c in clauses)
+
+    def pred(w) -> bool:
+        if not all(c(w) for c in on_word):
+            return False
+        if not on_report:
+            return True
+        report = pal_set(w)
+        return all(c(report) for c in on_report)
+
+    return pred
 
 
 def _cmd_pal(args) -> int:
@@ -105,7 +116,7 @@ def _cmd_pal(args) -> int:
             ],
         )
         return 0
-    stab = stabilized_pal_set(stream, start=args.start, cap=args.cap)
+    stab = stabilized_pal_set(stream, cap=args.cap)
     _emit(
         stab.to_record(),
         args.format,
@@ -229,8 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--gen", help="generator preset or spec string")
     p_pal.add_argument("--horizon", type=int, default=None,
                        help="fixed prefix length (otherwise stabilize)")
-    p_pal.add_argument("--start", type=int, default=16,
-                       help="stabilizer start horizon")
     p_pal.add_argument("--cap", type=int, default=16384,
                        help="stabilizer cap horizon")
     add_format(p_pal)

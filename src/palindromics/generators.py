@@ -7,7 +7,7 @@ recurrence, a registry of named presets, and a one-line textual spec form.
 
 from __future__ import annotations
 
-from .streams import PrefixStream, ShiftedStream, shift
+from .streams import PrefixStream, shift
 from .words import Alphabet, Morphism, Word
 
 
@@ -28,9 +28,6 @@ class PeriodicStream(PrefixStream):
     def _grow(self, n: int) -> None:
         reps = n // len(self.block) + 1
         self._text = self.block.text * reps
-
-    def describe(self) -> str:
-        return f"pow({self.block.text})"
 
 
 class FixedPointStream(PrefixStream):
@@ -58,9 +55,6 @@ class FixedPointStream(PrefixStream):
             letters.extend(images[letters[self._next]].text)
             self._next += 1
         self._text = "".join(letters)
-
-    def describe(self) -> str:
-        return f"fix({self.morphism.describe()}, {self.seed})"
 
 
 class ImageStream(PrefixStream):
@@ -91,9 +85,6 @@ class ImageStream(PrefixStream):
                 parts.append(img)
                 total += len(img)
         self._text = "".join(parts)
-
-    def describe(self) -> str:
-        return f"image({self.morphism.describe()}, {self.inner.describe()})"
 
 
 TRANSFORMS = ("rev", "revcomp", "id")
@@ -153,10 +144,6 @@ class ReversalClosureStream(PrefixStream):
             self.term(k)
         self._text = self._terms[-1]
 
-    def describe(self) -> str:
-        ins = ",".join(self.inserts)
-        return f"revclose(U0={self._terms[0]}, inserts=[{ins}], t={self.transform})"
-
 
 class FibonacciStream(PrefixStream):
     """The Fibonacci word as the limit of f(1)=a, f(2)=ab, f(n+1)=f(n)f(n-1).
@@ -174,9 +161,6 @@ class FibonacciStream(PrefixStream):
         while len(terms[-1]) < n:
             terms.append(terms[-1] + terms[-2])
         self._text = terms[-1]
-
-    def describe(self) -> str:
-        return "fibonacci"
 
 
 def periodic(u: Word | str) -> PrefixStream:

@@ -11,6 +11,11 @@ Besides the plain append, push() and pop() let a depth-first search grow and
 shrink the text letter by letter (the undoable eertree of Rubinchik & Shur,
 "EERTREE", arXiv:1506.04862). Only push() records undo state, so texts built
 with append() or extend() pay nothing for it.
+
+A node is created at the first position where its palindrome ends, and at
+most one node per position, so creation order is the order of first
+occurrence: among palindromes of one length, the earlier-created one also
+starts earlier. palindromes() lists them in that order.
 """
 
 from __future__ import annotations
@@ -21,9 +26,7 @@ class PalTree:
 
     Node 0 is the length -1 root, node 1 the length 0 (empty) root. Each
     real node stores its palindrome length, suffix link, per-letter
-    transitions, the end position of its first occurrence, and the number of
-    times it has been the longest palindromic suffix (the seed counts for
-    occurrence totals).
+    transitions and the end position of its first occurrence.
     """
 
     __slots__ = (
@@ -32,7 +35,6 @@ class PalTree:
         "_link",
         "_trans",
         "_first_end",
-        "_seed_count",
         "_suffix",
         "_last_growth",
         "_undo",
@@ -44,7 +46,6 @@ class PalTree:
         self._link = [0, 0]
         self._trans: list[dict[str, int]] = [{}, {}]
         self._first_end = [-1, -1]
-        self._seed_count = [0, 0]
         self._suffix = 1  # longest palindromic suffix of the processed prefix
         self._last_growth = 0
         self._undo: list[tuple[int, int]] = []  # (suffix, last_growth) per push
@@ -68,7 +69,6 @@ class PalTree:
         nxt = self._trans[cur].get(ch)
         if nxt is not None:
             self._suffix = nxt
-            self._seed_count[nxt] += 1
             return False
         new_len = self._len[cur] + 2
         if new_len == 1:
@@ -79,7 +79,6 @@ class PalTree:
         self._link.append(link)
         self._trans.append({})
         self._first_end.append(pos)
-        self._seed_count.append(1)
         nxt = len(self._len) - 1
         self._trans[cur][ch] = nxt
         self._suffix = nxt
@@ -108,24 +107,16 @@ class PalTree:
         suffix, self._last_growth = self._undo.pop()
         s = self._s
         pos = len(s) - 1
-        v = self._suffix
-        if self._first_end[v] == pos:
-            # The push created v, the newest node; drop it and the edge into
+        if self._first_end[self._suffix] == pos:
+            # The push created the newest node; drop it and the edge into
             # it from the node it extends, found by repeating the push's climb.
             del self._trans[self._climb(suffix, pos)][s[pos]]
             self._len.pop()
             self._link.pop()
             self._trans.pop()
             self._first_end.pop()
-            self._seed_count.pop()
-        else:
-            self._seed_count[v] -= 1
         s.pop()
         self._suffix = suffix
-
-    @property
-    def processed_length(self) -> int:
-        return len(self._s)
 
     @property
     def text(self) -> str:
@@ -158,20 +149,3 @@ class PalTree:
     def palindromes(self) -> list[str]:
         """The distinct non-empty palindromic factors, in creation order."""
         return [self._extract(v) for v in range(2, len(self._len))]
-
-    def palindromes_with_first_end(self) -> list[tuple[str, int]]:
-        return [
-            (self._extract(v), self._first_end[v]) for v in range(2, len(self._len))
-        ]
-
-    def occurrence_counts(self) -> dict[str, int]:
-        """Occurrences of each distinct palindrome as a factor.
-
-        Seed counts propagate along suffix links in reverse creation order
-        (children were created after their links), giving exact totals.
-        """
-        totals = list(self._seed_count)
-        links = self._link
-        for v in range(len(totals) - 1, 1, -1):
-            totals[links[v]] += totals[v]
-        return {self._extract(v): totals[v] for v in range(2, len(totals))}

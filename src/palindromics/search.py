@@ -43,9 +43,6 @@ class FamilyTemplate:
             return False
         return word == self.prefix + self.block * n + self.suffix
 
-    def instance(self, n: int) -> str:
-        return self.prefix + self.block * n + self.suffix
-
     def describe(self) -> str:
         return f"{self.prefix}({self.block})^n{self.suffix} for n>={self.n_min}"
 
@@ -301,14 +298,6 @@ def scan_complete_returns(
         last[depth] = t_last
         pending[depth] = t_pending
     return ReturnScan(anchor=anchor, max_len=max_len, returns=found, stats=walk.stats)
-
-
-def iter_satisfying_words(constraints: ConstraintSet, max_len: int):
-    """Yield every non-empty word (length <= max_len) whose prefixes all pass
-    the prefix-closed constraints. Required factors are not applied here.
-    Lexicographic depth-first order.
-    """
-    return (w for depth, w in PalWalk(constraints, max_len) if depth)
 
 
 @dataclass(frozen=True)

@@ -41,9 +41,6 @@ class PrefixStream:
     def prefix(self, n: int) -> Word:
         return Word(self.prefix_text(n), self.alphabet)
 
-    def describe(self) -> str:
-        return type(self).__name__
-
 
 class ShiftedStream(PrefixStream):
     """The stream whose i-th letter is the (i+k)-th letter of another stream."""
@@ -57,9 +54,6 @@ class ShiftedStream(PrefixStream):
 
     def _grow(self, n: int) -> None:
         self._text = self.inner.prefix_text(n + self.k)[self.k :]
-
-    def describe(self) -> str:
-        return f"shift({self.inner.describe()}, {self.k})"
 
 
 def shift(s: PrefixStream, k: int) -> PrefixStream:

@@ -1,21 +1,21 @@
 """Finite words over small ordered alphabets, with the basic combinatorial toolkit.
 
 Symbols are abstract positions 0..7 rendered as the ASCII letters a..h; all
-parsing and printing goes through that rendering.
+parsing and printing goes through that rendering, and Alphabet rejects any
+other letter.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from pathlib import Path
 
 SYMBOLS = "abcdefgh"
 MAX_ALPHABET = len(SYMBOLS)
 
 
 class Alphabet:
-    """An ordered set of one to eight single-character symbols.
+    """An ordered set of one to eight distinct letters from a..h.
 
     The order is total and fixed: it drives renaming canonicalization and
     enumeration order. The cap keeps every transition table and renaming
@@ -32,6 +32,9 @@ class Alphabet:
             )
         if len(set(symbols)) != len(symbols):
             raise ValueError(f"duplicate symbols in alphabet {symbols!r}")
+        for ch in symbols:
+            if ch not in SYMBOLS:
+                raise ValueError(f"letter {ch!r} is not one of {SYMBOLS!r}")
         self.symbols = symbols
 
     @classmethod
@@ -156,11 +159,6 @@ def _join_alphabets(a: Alphabet, b: Alphabet) -> Alphabet:
     if a.symbols.startswith(b.symbols):
         return a
     raise ValueError(f"incompatible alphabets {a.symbols!r} and {b.symbols!r}")
-
-
-def reverse(w: Word | str) -> Word:
-    """The mirror image of w; an involution."""
-    return Word(_text(w)[::-1], _alphabet_of(w, None))
 
 
 def occurrences(u: Word | str, v: Word | str) -> int:
@@ -362,26 +360,3 @@ class Morphism:
 
     def __repr__(self) -> str:
         return f"Morphism({self.describe()!r})"
-
-
-def load_words(path: str | Path) -> list[Word]:
-    """Read a word file: one word per line, letters a..h, '#' comments."""
-    out: list[Word] = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
-            continue
-        try:
-            out.append(Word(body))
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return out
-
-
-def dump_words(path: str | Path, words, header: str | None = None) -> None:
-    """Write a word file (one word per line, optional '#' header)."""
-    lines = []
-    if header:
-        lines.extend(f"# {h}" for h in header.splitlines())
-    lines.extend(_text(w) for w in words)
-    Path(path).write_text("\n".join(lines) + "\n")

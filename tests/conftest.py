@@ -15,6 +15,17 @@ def naive_pal_set(s: str) -> set[str]:
     return out
 
 
+def naive_earliest_longest(s: str) -> str:
+    """The longest palindromic factor, ties to the leftmost start, found by
+    trying every factor from the longest length down."""
+    for length in range(len(s), 0, -1):
+        for i in range(len(s) - length + 1):
+            f = s[i : i + length]
+            if f == f[::-1]:
+                return f
+    return ""
+
+
 def naive_occurrences(u: str, v: str) -> int:
     """Sliding-window occurrence counter."""
     return sum(1 for i in range(len(u) - len(v) + 1) if u[i : i + len(v)] == v)

@@ -40,12 +40,6 @@ def test_unknown_claim():
         run_claim("nope")
 
 
-def test_verdict_round_trip():
-    v = run_claim("rich9")
-    rec = json.loads(json.dumps(v.to_record()))
-    assert ClaimVerdict.from_record(rec) == v
-
-
 def test_refuted_requires_witnesses():
     with pytest.raises(ValueError):
         ClaimVerdict("x", "refuted", {}, [])

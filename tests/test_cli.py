@@ -1,11 +1,13 @@
-"""Command-line behaviour: outputs, exit codes, structured round trips."""
+"""Command-line behaviour: outputs, exit codes, structured records."""
 
 import json
 
 import pytest
 
-from palindromics import PalReport, StabilizedPalSet
+import palindromics.cli
 from palindromics.cli import main
+
+from conftest import all_words, naive_earliest_longest, naive_pal_set
 
 
 def run_cli(capsys, *argv):
@@ -23,16 +25,24 @@ def test_pal_word(capsys):
 def test_pal_word_json_round_trip(capsys):
     code, out, _ = run_cli(capsys, "pal", "--word", "aababb", "--format", "json")
     assert code == 0
-    report = PalReport.from_record(json.loads(out))
-    assert report.count == json.loads(out)["count"]
+    pals = naive_pal_set("aababb")
+    assert json.loads(out) == {
+        "word_length": 6,
+        "count": len(pals),
+        "longest": naive_earliest_longest("aababb"),
+        "per_length": {"0": 1, "1": 2, "2": 2, "3": 2},
+        "palindromes": sorted(pals, key=lambda p: (len(p), p)),
+    }
 
 
 def test_pal_generator_stabilized(capsys):
     code, out, _ = run_cli(capsys, "pal", "--gen", "fib-bc", "--format", "json")
     assert code == 0
-    stab = StabilizedPalSet.from_record(json.loads(out))
-    assert stab.count == 5
-    assert stab.stable
+    record = json.loads(out)
+    assert record["count"] == 5
+    assert record["flag"] == "stable"
+    assert record["palindromes"] == ["", "a", "b", "c", "aa"]
+    assert record["checked_horizon"] >= 2 * record["stable_horizon"]
 
 
 def test_pal_generator_fixed_horizon(capsys):
@@ -137,6 +147,47 @@ def test_enumerate_with_filter(capsys):
     words = [l for l in out.splitlines() if not l.startswith("#")]
     assert len(words) == 12
     assert "aababbaababb" in words
+
+
+def test_enumerate_filter_builds_one_report_per_word(capsys, monkeypatch):
+    calls = []
+    pal_set = palindromics.cli.pal_set
+
+    def counting(w):
+        calls.append(w.text)
+        return pal_set(w)
+
+    monkeypatch.setattr(palindromics.cli, "pal_set", counting)
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--alphabet", "ab", "--n", "6",
+        "--filter", "palcount>=0,rich,maxpal<=6",
+    )
+    assert code == 0
+    assert len(calls) == 64
+    words = [l for l in out.splitlines() if not l.startswith("#")]
+    assert words == [
+        s for s in all_words("ab", 6)
+        if len(naive_pal_set(s)) == 7 and len(naive_earliest_longest(s)) <= 6
+    ]
+
+
+def test_enumerate_filter_clauses(capsys):
+    code, out, _ = run_cli(
+        capsys, "enumerate", "--alphabet", "abc", "--n", "5",
+        "--filter", "nonrich,palcount<=5,palcount>=5,contains:ab", "--format", "json",
+    )
+    assert code == 0
+    assert json.loads(out)["words"] == [
+        s for s in all_words("abc", 5)
+        if len(naive_pal_set(s)) == 5 and "ab" in s
+    ]
+
+
+def test_enumerate_alphabet_outside_a_to_h_exit_2(capsys):
+    code, out, err = run_cli(capsys, "enumerate", "--alphabet", "xy", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert "'x'" in err
 
 
 def test_enumerate_iso_dedupe(capsys):

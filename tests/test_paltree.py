@@ -58,29 +58,6 @@ def test_oracle_equivalence_ternary():
             assert pal_set(s).pal_set == naive_pal_set(s)
 
 
-def test_occurrence_counts():
-    s = "aababbaababb"
-    counts = PalTree(s).occurrence_counts()
-    # Count each palindrome with the sliding window.
-    for p, c in counts.items():
-        naive = sum(
-            1 for i in range(len(s) - len(p) + 1) if s[i : i + len(p)] == p
-        )
-        assert c == naive, p
-    assert counts["a"] == 6
-    assert "aababbaababb" not in counts  # the word itself is not a palindrome
-
-
-def test_occurrence_counts_exhaustive_small():
-    for s in all_words("ab", 8):
-        counts = PalTree(s).occurrence_counts()
-        for p, c in counts.items():
-            naive = sum(
-                1 for i in range(len(s) - len(p) + 1) if s[i : i + len(p)] == p
-            )
-            assert c == naive
-
-
 def test_extract_after_long_run():
     # Palindrome extraction uses first-occurrence positions, which must
     # survive later growth of the underlying buffer.
@@ -93,7 +70,6 @@ def _assert_same_as_fresh(tree, text):
     assert tree.text == text
     assert tree.node_count == fresh.node_count
     assert tree.palindromes() == fresh.palindromes()
-    assert tree.occurrence_counts() == fresh.occurrence_counts()
     assert tree.last_growth == fresh.last_growth
     assert tree.suffix_node == fresh.suffix_node
     assert set(tree.palindromes()) | {""} == naive_pal_set(text)

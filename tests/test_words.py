@@ -12,13 +12,10 @@ from palindromics import (
     alph,
     canonical_class,
     canonical_renaming,
-    dump_words,
     factors,
     least_period,
-    load_words,
     max_run,
     occurrences,
-    reverse,
 )
 
 from conftest import all_words, naive_least_period, naive_occurrences
@@ -36,6 +33,12 @@ class TestAlphabet:
     def test_duplicates_rejected(self):
         with pytest.raises(ValueError):
             Alphabet("aba")
+
+    def test_letters_outside_a_to_h_rejected(self):
+        with pytest.raises(ValueError, match="not one of"):
+            Alphabet("xy")
+        with pytest.raises(ValueError):
+            Alphabet("ai")
 
     def test_order_is_fixed(self):
         assert Alphabet("abc").index("c") == 2
@@ -66,17 +69,17 @@ class TestWord:
 
 class TestReverse:
     def test_definition(self):
-        assert reverse(Word("aababb")).text == "bbabaa"
+        assert Word("aababb").reverse().text == "bbabaa"
 
     def test_empty(self):
-        assert reverse(Word("")).text == ""
+        assert Word("").reverse().text == ""
 
     def test_palindrome_fixed_point(self):
-        assert reverse(Word("aba")).text == "aba"
+        assert Word("aba").reverse().text == "aba"
 
     def test_involution(self):
         for s in ("a", "aab", "abcabc"):
-            assert reverse(reverse(Word(s))) == Word(s)
+            assert Word(s).reverse().reverse() == Word(s)
 
 
 class TestOccurrences:
@@ -220,26 +223,6 @@ class TestMorphism:
         assert m.is_prolongable("a")
         assert not m.is_prolongable("b")
         assert not Morphism.parse("a->a, b->bc").is_prolongable("a")
-
-
-class TestWordFiles:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "words.txt"
-        dump_words(path, [Word("aab"), Word("abcd")], header="corpus")
-        assert path.read_text().startswith("# corpus\n")
-        words = load_words(path)
-        assert [w.text for w in words] == ["aab", "abcd"]
-
-    def test_comments_and_blanks(self, tmp_path):
-        path = tmp_path / "words.txt"
-        path.write_text("# heading\n\naab  # trailing comment\nba\n")
-        assert [w.text for w in load_words(path)] == ["aab", "ba"]
-
-    def test_bad_letter_reports_line(self, tmp_path):
-        path = tmp_path / "words.txt"
-        path.write_text("aab\nxyz\n")
-        with pytest.raises(ValueError, match=":2:"):
-            load_words(path)
 
 
 def test_alph_in_alphabet_order():
