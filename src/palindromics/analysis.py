@@ -11,6 +11,7 @@ from .words import Word, _text, factor_strings
 
 def _sorted_pals(pals) -> tuple[str, ...]:
     # Canonical report order: by length, then lexicographic; "" (epsilon) first.
+    # pals must be distinct; the tree lists each palindrome once.
     return tuple(sorted(pals, key=lambda p: (len(p), p)))
 
 
@@ -53,13 +54,13 @@ def pal_set(w: Word | str) -> PalReport:
     """
     s = _text(w)
     found = PalTree(s).palindromes()
-    pals = {"", *found}
+    pals = _sorted_pals(("", *found))
     per_length: dict[int, int] = {}
     for p in pals:
         per_length[len(p)] = per_length.get(len(p), 0) + 1
     return PalReport(
         word_length=len(s),
-        palindromes=_sorted_pals(pals),
+        palindromes=pals,
         count=len(pals),
         longest=max(found, key=len, default=""),
         per_length=per_length,
@@ -161,15 +162,13 @@ def stabilized_pal_set(s: PrefixStream, cap: int = 16384) -> StabilizedPalSet:
         target = min(cap, max(start, 2 * tree.last_growth))
         if fed >= target:
             break
-        chunk = s.prefix_text(target)[fed:]
-        for ch in chunk:
-            tree.append(ch)
+        tree.extend(s.prefix_text(target)[fed:])
         fed = target
     stable_horizon = max(tree.last_growth, 1)
     stable = fed >= max(start, 2 * stable_horizon)
-    pals = {""} | set(tree.palindromes())
+    pals = _sorted_pals(("", *tree.palindromes()))
     return StabilizedPalSet(
-        palindromes=_sorted_pals(pals),
+        palindromes=pals,
         count=len(pals),
         stable_horizon=stable_horizon,
         checked_horizon=fed,

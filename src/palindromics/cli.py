@@ -9,6 +9,7 @@ import argparse
 import json
 import operator
 import sys
+from collections.abc import Iterable, Iterator
 
 from .analysis import (
     complete_first_returns,
@@ -22,9 +23,16 @@ from .search import enumerate_words
 from .words import Alphabet, Word, least_period
 
 
-def _emit(record: dict, fmt: str, text_lines) -> None:
+def _emit(record: object, fmt: str, text_lines: Iterable[str]) -> None:
+    """Print record as indented JSON, or print text_lines.
+
+    The JSON is written chunk by chunk, never held as one string, and
+    text_lines is only iterated for text, so a generator builds no line
+    that JSON output would not print.
+    """
     if fmt == "json":
-        print(json.dumps(record, sort_keys=True, indent=2))
+        json.dump(record, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
     else:
         for line in text_lines:
             print(line)
@@ -91,18 +99,25 @@ def _parse_filter(expr: str | None):
     return pred
 
 
+def _listing(palindromes, *head: str) -> Iterator[str]:
+    """Text lines of a report that lists its palindromes.
+
+    The palindrome line is built only when iterated, so JSON output never
+    builds it, and by one join, so it adds one copy of their text, not two.
+    """
+    yield from head
+    yield " ".join(["palindromes:", *(p or "~" for p in palindromes)])
+
+
 def _cmd_pal(args) -> int:
     if args.word is not None:
         report = pal_set(Word(args.word))
-        _emit(
-            report.to_record(),
-            args.format,
-            [
-                f"word length {report.word_length}: {report.count} palindromes, "
-                f"longest {report.longest!r} (length {len(report.longest)})",
-                "palindromes: " + " ".join(p or "~" for p in report.palindromes),
-            ],
+        lines = _listing(
+            report.palindromes,
+            f"word length {report.word_length}: {report.count} palindromes, "
+            f"longest {report.longest!r} (length {len(report.longest)})",
         )
+        _emit(report.to_record(), args.format, lines)
         return 0
     stream = resolve_generator(args.gen)
     if args.horizon is not None:
@@ -117,16 +132,13 @@ def _cmd_pal(args) -> int:
         )
         return 0
     stab = stabilized_pal_set(stream, cap=args.cap)
-    _emit(
-        stab.to_record(),
-        args.format,
-        [
-            f"{args.gen}: {stab.count} palindromes ({stab.flag}), "
-            f"longest {stab.longest!r} (length {len(stab.longest)})",
-            f"stable at horizon {stab.stable_horizon}, checked to {stab.checked_horizon}",
-            "palindromes: " + " ".join(p or "~" for p in stab.palindromes),
-        ],
+    lines = _listing(
+        stab.palindromes,
+        f"{args.gen}: {stab.count} palindromes ({stab.flag}), "
+        f"longest {stab.longest!r} (length {len(stab.longest)})",
+        f"stable at horizon {stab.stable_horizon}, checked to {stab.checked_horizon}",
     )
+    _emit(stab.to_record(), args.format, lines)
     return 0
 
 
@@ -185,14 +197,12 @@ def _cmd_verify(args) -> int:
                 print(f"  {entry['claim_id']}", file=sys.stderr)
             return 2
         verdicts = [run_claim(args.claim)]
-    if args.format == "json":
-        print(json.dumps([v.to_record() for v in verdicts], sort_keys=True, indent=2))
-    else:
-        for v in verdicts:
-            print(f"{v.claim_id}: {v.status}  bound={v.bound}")
-            if v.status == "refuted":
-                for w in v.witnesses[:5]:
-                    print(f"  witness: {w}")
+    lines = []
+    for v in verdicts:
+        lines.append(f"{v.claim_id}: {v.status}  bound={v.bound}")
+        if v.status == "refuted":
+            lines += [f"  witness: {w}" for w in v.witnesses[:5]]
+    _emit([v.to_record() for v in verdicts], args.format, lines)
     return 0 if all(v.ok for v in verdicts) else 1
 
 

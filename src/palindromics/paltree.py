@@ -142,10 +142,14 @@ class PalTree:
         """Prefix length at which the palindrome set last grew (0 if never)."""
         return self._last_growth
 
-    def _extract(self, node: int) -> str:
-        end = self._first_end[node]
-        return "".join(self._s[end - self._len[node] + 1 : end + 1])
-
     def palindromes(self) -> list[str]:
-        """The distinct non-empty palindromic factors, in creation order."""
-        return [self._extract(v) for v in range(2, len(self._len))]
+        """The distinct non-empty palindromic factors, in creation order.
+
+        Each one is sliced at its first occurrence from one joined copy of
+        the text, so the call costs about the total length it returns.
+        """
+        text = "".join(self._s)
+        return [
+            text[end - n + 1 : end + 1]
+            for n, end in zip(self._len[2:], self._first_end[2:])
+        ]

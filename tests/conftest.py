@@ -26,6 +26,18 @@ def naive_earliest_longest(s: str) -> str:
     return ""
 
 
+def naive_pals_by_first_end(s: str) -> list[str]:
+    """Distinct non-empty palindromic factors, ordered by the end position
+    of their first occurrence, found by trying every factor."""
+    first_end: dict[str, int] = {}
+    for end in range(1, len(s) + 1):
+        for start in range(end):
+            f = s[start:end]
+            if f == f[::-1]:
+                first_end.setdefault(f, end)
+    return sorted(first_end, key=first_end.__getitem__)
+
+
 def naive_occurrences(u: str, v: str) -> int:
     """Sliding-window occurrence counter."""
     return sum(1 for i in range(len(u) - len(v) + 1) if u[i : i + len(v)] == v)

@@ -1,6 +1,8 @@
 """Command-line behaviour: outputs, exit codes, structured records."""
 
+import contextlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -33,6 +35,61 @@ def test_pal_word_json_round_trip(capsys):
         "per_length": {"0": 1, "1": 2, "2": 2, "3": 2},
         "palindromes": sorted(pals, key=lambda p: (len(p), p)),
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pal", "--word", "aaababaabaaa"],
+        ["pal", "--gen", "fib-bc"],
+        ["pal", "--gen", "fibonacci", "--horizon", "4000"],
+        ["closure", "--gen", "fib-bc", "--k", "2"],
+        ["verify", "minpal-t9"],
+    ],
+    ids=" ".join,
+)
+def test_json_stdout_is_one_indented_document(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+class _CountingSink:
+    """Stand-in for stdout that keeps only the number of characters written."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, s):
+        self.chars += len(s)
+        return len(s)
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pal", "--gen", "fibonacci", "--horizon", "4000", "--format", "json"],
+        ["pal", "--gen", "fibonacci", "--cap", "4096", "--format", "json"],
+    ],
+    ids=" ".join,
+)
+def test_pal_json_peak_memory_within_twice_the_output(argv):
+    # The palindromes themselves are about one copy of the output; the
+    # report path may add no second copy (a joined JSON string or text line).
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars > 5_000_000
+    assert peak <= 2 * sink.chars, (peak, sink.chars)
 
 
 def test_pal_generator_stabilized(capsys):

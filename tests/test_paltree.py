@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from palindromics import PalTree, Word, pal_set
 
-from conftest import all_words, naive_pal_set
+from conftest import all_words, naive_pal_set, naive_pals_by_first_end
 
 
 def test_empty_tree():
@@ -50,6 +50,13 @@ def test_node_count_matches_pal_set():
 )
 def test_pal_strings_match_oracle(word):
     assert set(PalTree(word).palindromes()) | {""} == naive_pal_set(word)
+
+
+@pytest.mark.parametrize("alphabet, max_n", [("ab", 10), ("abc", 7)])
+def test_palindromes_in_first_occurrence_order(alphabet, max_n):
+    for n in range(max_n + 1):
+        for s in all_words(alphabet, n):
+            assert PalTree(s).palindromes() == naive_pals_by_first_end(s), s
 
 
 def test_oracle_equivalence_ternary():
