@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from .paltree import PalTree
 from .streams import PrefixStream
-from .words import Word, _text, factor_strings
+from .words import factor_strings
 
 
 def _sorted_pals(pals) -> tuple[str, ...]:
@@ -45,14 +45,13 @@ class PalReport:
         }
 
 
-def pal_set(w: Word | str) -> PalReport:
-    """Exact set of distinct palindromic factors of w, including the empty word.
+def pal_set(s: str) -> PalReport:
+    """Exact set of distinct palindromic factors of s, including the empty word.
 
-    Runs in O(|w| * |alphabet|) time through the palindromic tree. The tree
+    Runs in O(|s| * |alphabet|) time through the palindromic tree. The tree
     lists palindromes in order of first occurrence, so the longest reported
     is the earliest to occur among those of maximal length.
     """
-    s = _text(w)
     found = PalTree(s).palindromes()
     pals = _sorted_pals(("", *found))
     per_length: dict[int, int] = {}
@@ -82,14 +81,14 @@ class CompleteReturns:
     returns: tuple[str, ...]
 
 
-def complete_first_returns(w: Word | str, v: Word | str) -> CompleteReturns:
-    """All distinct complete first returns to v in w, in order of appearance.
+def complete_first_returns(s: str, anchor: str) -> CompleteReturns:
+    """All distinct complete first returns to the anchor in s, in order of
+    appearance.
 
-    Consecutive occurrence positions of v delimit the returns: the span from
-    one occurrence start to the next occurrence end contains exactly two
-    occurrences of v by construction.
+    Consecutive occurrence positions of the anchor delimit the returns: the
+    span from one occurrence start to the next occurrence end contains
+    exactly two occurrences of the anchor by construction.
     """
-    s, anchor = _text(w), _text(v)
     if not anchor:
         raise ValueError("anchor must be non-empty")
     positions = []

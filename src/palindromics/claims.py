@@ -26,7 +26,7 @@ from .analysis import (
     reversal_closure_check,
     stabilized_pal_set,
 )
-from .generators import PRESETS, periodic
+from .generators import PRESETS, PeriodicStream
 from .paltree import PalTree
 from .search import (
     ConstraintSet,
@@ -38,14 +38,14 @@ from .search import (
     matches_any,
     scan_complete_returns,
 )
-from .words import Alphabet, Word, canonical_class, least_period
+from .words import iso_class, least_period
 
 VERIFIED = "verified"
 REFUTED = "refuted"
 VERIFIED_UP_TO_BOUND = "verified-up-to-bound"
 
-AB = Alphabet("ab")
-ABC = Alphabet("abc")
+AB = "ab"
+ABC = "abc"
 
 # Palindrome set of the square of the period-6 block aababb (epsilon included).
 PERIOD6_PAL_SET = frozenset(
@@ -162,7 +162,7 @@ def _pal_count(s: str) -> int:
     return PalTree(s).distinct_palindromes + 1
 
 
-def _leaf_pal_counts(alphabet: Alphabet, n: int):
+def _leaf_pal_counts(alphabet: str, n: int):
     """(word, palindrome count with epsilon) for every length-n word, in
     lexicographic order, read off one prefix-sharing walk."""
     walk = PalWalk(ConstraintSet(alphabet), n)
@@ -172,7 +172,7 @@ def _leaf_pal_counts(alphabet: Alphabet, n: int):
 
 
 def scan_min_palindromes(
-    alphabet: Alphabet, n: int, word_filter=None
+    alphabet: str, n: int, word_filter=None
 ) -> tuple[int, list[str], int]:
     """Minimum palindrome count over the length-n words passing the filter,
     with all argmin words and the number of words scanned.
@@ -192,7 +192,7 @@ def scan_min_palindromes(
 
 
 def minpal_scan(
-    claim_id: str, alphabet: Alphabet, n: int, expected: int
+    claim_id: str, alphabet: str, n: int, expected: int
 ) -> ClaimVerdict:
     """Minimum palindrome count over all length-n words; the witnesses are
     the argmin words. When the minimum differs from expected, the verdict is
@@ -203,7 +203,7 @@ def minpal_scan(
     return _verdict(
         claim_id,
         [] if best == expected else [{**witness, "expected": expected}],
-        bound={"alphabet": alphabet.symbols, "length": n, "class": "all"},
+        bound={"alphabet": alphabet, "length": n, "class": "all"},
         witness=witness,
         stats={"scanned": scanned},
     )
@@ -265,8 +265,8 @@ def rotations(u: str) -> set[str]:
 def _conjugates_of_class(word: str) -> list[str]:
     """All rotations of all members of the renaming-or-reversal class."""
     out: set[str] = set()
-    for m in canonical_class(Word(word)).members():
-        out |= rotations(m.text)
+    for m in iso_class(word, AB):
+        out |= rotations(m)
     return sorted(out)
 
 
@@ -286,9 +286,7 @@ def verify_exact9() -> ClaimVerdict:
     """
     blocks = _conjugates_of_class("aababb")
     expected_squares = sorted(u * 2 for u in blocks)
-    class_squares = sorted(
-        (w * 2).text for w in canonical_class(Word("aababb")).members()
-    )
+    class_squares = sorted(w * 2 for w in iso_class("aababb", AB))
     exact9 = []
     below9 = []
     for w, c in _leaf_pal_counts(AB, 12):
@@ -393,8 +391,8 @@ def verify_exact10() -> ClaimVerdict:
     ):
         if overlap:
             problems.append({f"overlap {name}": sorted(overlap)})
-    sq_a = {(w * 2).text for w in canonical_class(Word("aaababb")).members()}
-    sq_b = {(w * 2).text for w in canonical_class(Word("aababbb")).members()}
+    sq_a = {w * 2 for w in iso_class("aaababb", AB)}
+    sq_b = {w * 2 for w in iso_class("aababbb", AB)}
     if sq_a != sq_b:
         problems.append({"seven_letter_classes_differ": sorted(sq_a ^ sq_b)})
     over_six = sorted(
@@ -543,7 +541,7 @@ def verify_maxpal_bounds() -> ClaimVerdict:
     if not depth.exhausted:
         problems.append({"length_cap_3_search_hit_hard_cap": 64})
 
-    power = pal_set(periodic("aabbab").prefix(600))
+    power = pal_set(PeriodicStream("aabbab").prefix_text(600))
     if len(power.longest) != 4:
         problems.append({"aabbab_power_longest": power.longest})
 
@@ -596,8 +594,7 @@ def verify_closed13() -> ClaimVerdict:
     stream = stream_factory()
     problems: list = []
     for n in range(2, 9):
-        term = stream.term(n)
-        pals = _pals(term.text)
+        pals = _pals(stream.term(n))
         if pals != CLOSED13_PAL_SET:
             problems.append({"term": n, "pal_set": sorted(pals)})
     closure = reversal_closure_check(stream_factory(), k=8, horizon=4096)

@@ -20,28 +20,28 @@ from .analysis import (
 from .claims import CLAIMS, manifest, run_all, run_claim
 from .generators import UnknownGeneratorError, preset_names, resolve_generator
 from .search import enumerate_words
-from .words import Alphabet, Word, least_period
+from .words import alphabet, alphabet_of, least_period
 
 
-def _emit(record: object, fmt: str, text_lines: Iterable[str]) -> None:
+def _emit(
+    record: object, fmt: str, text_lines: Iterable[str | tuple[str, ...]]
+) -> None:
     """Print record as indented JSON, or print text_lines.
 
     The JSON is written chunk by chunk, never held as one string, and
     text_lines is only iterated for text, so a generator builds no line
-    that JSON output would not print.
+    that JSON output would not print. A line is a str, or a tuple of parts
+    that print writes one by one, separated by spaces, without joining them.
     """
     if fmt == "json":
         json.dump(record, sys.stdout, sort_keys=True, indent=2)
         sys.stdout.write("\n")
     else:
         for line in text_lines:
-            print(line)
-
-
-def _parse_alphabet(value: str) -> Alphabet:
-    if value.isdigit():
-        return Alphabet.of_size(int(value))
-    return Alphabet(value)
+            if isinstance(line, str):
+                print(line)
+            else:
+                print(*line)
 
 
 _COMPARE = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
@@ -75,10 +75,10 @@ def _parse_filter(expr: str | None):
             on_report.append(lambda r, c=compare, n=n: c(r.count, n))
         elif clause.startswith("contains:"):
             needle = clause.split(":", 1)[1]
-            on_word.append(lambda w, s=needle: s in w.text)
+            on_word.append(lambda w, s=needle: s in w)
         elif clause.startswith("avoids:"):
             needle = clause.split(":", 1)[1]
-            on_word.append(lambda w, s=needle: s not in w.text)
+            on_word.append(lambda w, s=needle: s not in w)
         elif clause.startswith("period=="):
             n = int(clause.split("==", 1)[1])
             on_word.append(lambda w, n=n: least_period(w) == n)
@@ -99,19 +99,21 @@ def _parse_filter(expr: str | None):
     return pred
 
 
-def _listing(palindromes, *head: str) -> Iterator[str]:
+def _listing(palindromes, *head: str) -> Iterator[str | tuple[str, ...]]:
     """Text lines of a report that lists its palindromes.
 
-    The palindrome line is built only when iterated, so JSON output never
-    builds it, and by one join, so it adds one copy of their text, not two.
+    The palindrome line is a tuple of parts, built only when iterated, so
+    JSON output never builds it, and never joined, so it adds no second copy
+    of their text.
     """
     yield from head
-    yield " ".join(["palindromes:", *(p or "~" for p in palindromes)])
+    yield ("palindromes:", *(p or "~" for p in palindromes))
 
 
 def _cmd_pal(args) -> int:
     if args.word is not None:
-        report = pal_set(Word(args.word))
+        alphabet_of(args.word)  # raises on a letter outside a..h
+        report = pal_set(args.word)
         lines = _listing(
             report.palindromes,
             f"word length {report.word_length}: {report.count} palindromes, "
@@ -121,7 +123,7 @@ def _cmd_pal(args) -> int:
         return 0
     stream = resolve_generator(args.gen)
     if args.horizon is not None:
-        report = pal_set(stream.prefix(args.horizon))
+        report = pal_set(stream.prefix_text(args.horizon))
         _emit(
             report.to_record(),
             args.format,
@@ -158,7 +160,9 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_returns(args) -> int:
-    scan = complete_first_returns(Word(args.word), Word(args.anchor))
+    alphabet_of(args.word)
+    alphabet_of(args.anchor)
+    scan = complete_first_returns(args.word, args.anchor)
     record = {
         "anchor": scan.anchor,
         "anchor_found": scan.anchor_found,
@@ -207,19 +211,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    alphabet = _parse_alphabet(args.alphabet)
+    symbols = alphabet(args.alphabet)
     pred = _parse_filter(args.filter)
-    words = (
-        w.text
-        for w in enumerate_words(alphabet, args.n, dedupe=args.dedupe)
-        if pred(w)
-    )
+    words = filter(pred, enumerate_words(symbols, args.n, dedupe=args.dedupe))
     if args.format == "json":
-        record = {"alphabet": alphabet.symbols, "n": args.n, "dedupe": args.dedupe,
+        record = {"alphabet": symbols, "n": args.n, "dedupe": args.dedupe,
                   "filter": args.filter, "words": list(words)}
         _emit(record, args.format, [])
         return 0
-    comment = f"# words over {alphabet.symbols!r}, length {args.n}"
+    comment = f"# words over {symbols!r}, length {args.n}"
     if args.filter:
         comment += f", filter {args.filter!r}"
     print(comment)

@@ -8,7 +8,7 @@ recurrence, a registry of named presets, and a one-line textual spec form.
 from __future__ import annotations
 
 from .streams import PrefixStream, shift
-from .words import Alphabet, Morphism, Word
+from .words import Morphism, alphabet_of
 
 
 class UnknownGeneratorError(ValueError):
@@ -18,16 +18,15 @@ class UnknownGeneratorError(ValueError):
 class PeriodicStream(PrefixStream):
     """u repeated forever."""
 
-    def __init__(self, u: Word | str) -> None:
-        u = u if isinstance(u, Word) else Word(u)
-        if len(u) == 0:
+    def __init__(self, u: str) -> None:
+        if not u:
             raise ValueError("periodic block must be non-empty")
-        super().__init__(u.alphabet)
+        super().__init__(alphabet_of(u))
         self.block = u
 
     def _grow(self, n: int) -> None:
         reps = n // len(self.block) + 1
-        self._text = self.block.text * reps
+        self._text = self.block * reps
 
 
 class FixedPointStream(PrefixStream):
@@ -35,7 +34,7 @@ class FixedPointStream(PrefixStream):
 
     Materializes by self-reading: the buffer starts as image(seed) and each
     step appends the image of the next unexpanded buffer letter, so the cost
-    of prefix(n) is linear in n.
+    of prefix_text(n) is linear in n.
     """
 
     def __init__(self, morphism: Morphism, seed: str) -> None:
@@ -46,13 +45,13 @@ class FixedPointStream(PrefixStream):
         super().__init__(morphism.target)
         self.morphism = morphism
         self.seed = seed
-        self._letters: list[str] = list(morphism.image(seed).text)
+        self._letters: list[str] = list(morphism.images[seed])
         self._next = 1
 
     def _grow(self, n: int) -> None:
         letters, images = self._letters, self.morphism.images
         while len(letters) < n:
-            letters.extend(images[letters[self._next]].text)
+            letters.extend(images[letters[self._next]])
             self._next += 1
         self._text = "".join(letters)
 
@@ -61,10 +60,10 @@ class ImageStream(PrefixStream):
     """Letterwise image of another stream under a morphism."""
 
     def __init__(self, morphism: Morphism, inner: PrefixStream) -> None:
-        if set(inner.alphabet.symbols) - set(morphism.source.symbols):
+        if set(inner.alphabet) - set(morphism.source):
             raise ValueError(
-                f"morphism source {morphism.source.symbols!r} does not cover "
-                f"stream alphabet {inner.alphabet.symbols!r}"
+                f"morphism source {morphism.source!r} does not cover "
+                f"stream alphabet {inner.alphabet!r}"
             )
         super().__init__(morphism.target)
         self.morphism = morphism
@@ -81,7 +80,7 @@ class ImageStream(PrefixStream):
             chunk = self.inner.prefix_text(self._consumed + take)[self._consumed :]
             self._consumed += len(chunk)
             for ch in chunk:
-                img = images[ch].text
+                img = images[ch]
                 parts.append(img)
                 total += len(img)
         self._text = "".join(parts)
@@ -94,33 +93,32 @@ class ReversalClosureStream(PrefixStream):
     """Limit of the recursion U(k+1) = U(k) . insert(k) . t(U(k)).
 
     Inserts cycle through a fixed schedule; t is plain reversal, reversal
-    followed by the alphabet-order exchange of letters (a<->b on two
-    letters), or the identity. With t = rev, every term is closed under
-    reversal by construction. Each term is a prefix of the next, so the
-    limit is well defined.
+    followed by the exchange of letters that reverses the alphabet's order
+    (a<->b on two letters), or the identity. With t = rev, every term is
+    closed under reversal by construction. Each term is a prefix of the
+    next, so the limit is well defined.
+
+    The alphabet is the a..h prefix covering u0 and the inserts, or the
+    given alphabet when that is longer; it matters only to revcomp.
     """
 
     def __init__(
-        self, u0: Word | str, inserts: list[Word | str], transform: str = "rev"
+        self, u0: str, inserts: list[str], transform: str = "rev", alphabet: str = ""
     ) -> None:
-        u0 = u0 if isinstance(u0, Word) else Word(u0)
-        if len(u0) == 0:
+        if not u0:
             raise ValueError("the initial term must be non-empty")
         if not inserts:
             raise ValueError("insert schedule must have at least one entry")
         if transform not in TRANSFORMS:
             raise ValueError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
-        insert_texts = [w.text if isinstance(w, Word) else str(w) for w in inserts]
-        # The alphabet covers the seed and every connector.
-        alphabet = Word(u0.text + "".join(insert_texts)).alphabet
-        if len(u0.alphabet) > len(alphabet):
-            alphabet = u0.alphabet
+        covered = alphabet_of(u0 + "".join(inserts))
+        if len(alphabet) <= len(covered):
+            alphabet = covered
         super().__init__(alphabet)
-        self.inserts = insert_texts
+        self.inserts = list(inserts)
         self.transform = transform
-        syms = alphabet.symbols
-        self._exchange = str.maketrans(syms, syms[::-1])
-        self._terms = [u0.text]
+        self._exchange = str.maketrans(alphabet, alphabet[::-1])
+        self._terms = [u0]
 
     def _apply_transform(self, s: str) -> str:
         if self.transform == "rev":
@@ -129,13 +127,13 @@ class ReversalClosureStream(PrefixStream):
             return s[::-1].translate(self._exchange)
         return s
 
-    def term(self, k: int) -> Word:
+    def term(self, k: int) -> str:
         """The k-th term of the recursion (term(0) is the initial word)."""
         while len(self._terms) <= k:
             i = len(self._terms) - 1
             u = self._terms[-1]
             self._terms.append(u + self.inserts[i % len(self.inserts)] + self._apply_transform(u))
-        return Word(self._terms[k], self.alphabet)
+        return self._terms[k]
 
     def _grow(self, n: int) -> None:
         k = len(self._terms) - 1
@@ -153,7 +151,7 @@ class FibonacciStream(PrefixStream):
     """
 
     def __init__(self) -> None:
-        super().__init__(Alphabet("ab"))
+        super().__init__("ab")
         self._terms = ["a", "ab"]
 
     def _grow(self, n: int) -> None:
@@ -163,33 +161,11 @@ class FibonacciStream(PrefixStream):
         self._text = terms[-1]
 
 
-def periodic(u: Word | str) -> PrefixStream:
-    return PeriodicStream(u)
-
-
-def fixed_point(m: Morphism, seed: str) -> PrefixStream:
-    return FixedPointStream(m, seed)
-
-
-def image(m: Morphism, s: PrefixStream) -> PrefixStream:
-    return ImageStream(m, s)
-
-
-def reversal_closure(
-    u0: Word | str, inserts: list[Word | str], transform: str = "rev"
-) -> PrefixStream:
-    return ReversalClosureStream(u0, inserts, transform)
-
-
-def fibonacci() -> PrefixStream:
-    return FibonacciStream()
-
-
 def paperfolding() -> PrefixStream:
     """Limit of P(0)=a, P(n+1) = P(n) . a . hat(P(n)), where hat reverses and
     exchanges a with b. The n-th term has length 2**(n+1) - 1.
     """
-    return ReversalClosureStream(Word("a", Alphabet("ab")), ["a"], "revcomp")
+    return ReversalClosureStream("a", ["a"], "revcomp", alphabet="ab")
 
 
 # Named morphisms usable in generator spec strings.
@@ -213,16 +189,16 @@ def _preset_factories():
     return {
         "fibonacci": (
             "binary Fibonacci word from the concatenation recurrence",
-            fibonacci,
+            FibonacciStream,
         ),
-        "fib": ("alias of fibonacci", fibonacci),
+        "fib": ("alias of fibonacci", FibonacciStream),
         "fib-bc": (
             "image of the Fibonacci word under b->bc; five palindromes",
-            lambda: ImageStream(named_morphism("bc"), fibonacci()),
+            lambda: ImageStream(named_morphism("bc"), FibonacciStream()),
         ),
         "fib-abbab": (
             "image of the Fibonacci word under b->abbab; eleven palindromes",
-            lambda: ImageStream(named_morphism("abbab"), fibonacci()),
+            lambda: ImageStream(named_morphism("abbab"), FibonacciStream()),
         ),
         "paperfolding": (
             "regular paperfolding word (reverse-and-exchange recursion)",
@@ -235,17 +211,15 @@ def _preset_factories():
         ),
         "quadfold": (
             "four-letter reversal-closure word (U0=ab, insert cd); five palindromes",
-            lambda: ReversalClosureStream(Word("ab", Alphabet("abcd")), ["cd"], "rev"),
+            lambda: ReversalClosureStream("ab", ["cd"], "rev"),
         ),
         "maxpal5": (
             "binary reversal-closure word (U0=aabb, inserts ab/ba) whose longest palindrome has length 5",
-            lambda: ReversalClosureStream(Word("aabb"), ["ab", "ba"], "rev"),
+            lambda: ReversalClosureStream("aabb", ["ab", "ba"], "rev"),
         ),
         "closed13": (
             "binary reversal-closure word (U0=abaabbabaaabbaaba, inserts bbaa/aabb) with thirteen palindromes",
-            lambda: ReversalClosureStream(
-                Word("abaabbabaaabbaaba"), ["bbaa", "aabb"], "rev"
-            ),
+            lambda: ReversalClosureStream("abaabbabaaabbaaba", ["bbaa", "aabb"], "rev"),
         ),
     }
 
@@ -303,7 +277,7 @@ def parse_generator_spec(text: str) -> PrefixStream:
     if head == "pow":
         if len(args) != 1:
             raise UnknownGeneratorError("pow takes exactly one word argument")
-        return PeriodicStream(Word(args[0]))
+        return PeriodicStream(args[0])
     if head == "fix":
         if len(args) < 2:
             raise UnknownGeneratorError("fix takes morphism rules and a seed")
@@ -332,9 +306,7 @@ def parse_generator_spec(text: str) -> PrefixStream:
         if not (inserts_body.startswith("[") and inserts_body.endswith("]")):
             raise UnknownGeneratorError("revclose inserts must look like [w1,w2]")
         inserts = [w.strip() for w in inserts_body[1:-1].split(",") if w.strip()]
-        return ReversalClosureStream(
-            Word(kwargs["U0"]), inserts, kwargs.get("t", "rev")
-        )
+        return ReversalClosureStream(kwargs["U0"], inserts, kwargs.get("t", "rev"))
     raise UnknownGeneratorError(
         f"unknown generator form {head!r}; forms: pow, fix, image, shift, revclose"
     )
@@ -346,7 +318,7 @@ def resolve_generator(ref: str) -> PrefixStream:
     if ref in PRESETS:
         return PRESETS[ref][1]()
     if ref.startswith("pow:"):
-        return PeriodicStream(Word(ref[4:]))
+        return PeriodicStream(ref[4:])
     if "(" in ref:
         return parse_generator_spec(ref)
     raise UnknownGeneratorError(f"unknown generator {ref!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import product
 
 from .paltree import PalTree
-from .words import Alphabet, Word, _text
+from .words import SYMBOLS, canonical_form
 
 ENUMERATION_GUARD = 10**8
 
@@ -62,7 +62,7 @@ class ConstraintSet:
     the assumed set and the palindromes actually present in the search word.
     """
 
-    alphabet: Alphabet
+    alphabet: str
     forbidden_factors: frozenset[str] = frozenset()
     required_factors: frozenset[str] = frozenset()
     pal_budget: int | None = None
@@ -76,9 +76,8 @@ class ConstraintSet:
         """Distinct palindromes charged to the budget (union with assumed)."""
         return len(self.assumed_with_epsilon() | pals)
 
-    def satisfies(self, word: Word | str, check_required: bool = True) -> bool:
+    def satisfies(self, s: str, check_required: bool = True) -> bool:
         """Full non-incremental check, used by oracles and witness replay."""
-        s = _text(word)
         for f in self.forbidden_factors:
             if f in s:
                 return False
@@ -99,7 +98,7 @@ class ConstraintSet:
         return True
 
 
-def palindromes_of_length(alphabet: Alphabet, length: int) -> set[str]:
+def palindromes_of_length(alphabet: str, length: int) -> set[str]:
     """Every palindrome of the given length over the alphabet."""
     if length < 0:
         raise ValueError("length must be non-negative")
@@ -107,7 +106,7 @@ def palindromes_of_length(alphabet: Alphabet, length: int) -> set[str]:
         return {""}
     half = (length + 1) // 2
     out = set()
-    for core in product(alphabet.symbols, repeat=half):
+    for core in product(alphabet, repeat=half):
         left = "".join(core)
         mirror = left[::-1]
         out.add(left + (mirror[1:] if length % 2 else mirror))
@@ -115,7 +114,7 @@ def palindromes_of_length(alphabet: Alphabet, length: int) -> set[str]:
 
 
 def forbid_other_palindromes(
-    alphabet: Alphabet, length: int, allowed: set[str] | frozenset[str]
+    alphabet: str, length: int, allowed: set[str] | frozenset[str]
 ) -> frozenset[str]:
     """Forbidden-factor encoding of 'the only length-L palindromes are these'."""
     return frozenset(palindromes_of_length(alphabet, length) - set(allowed))
@@ -175,7 +174,7 @@ class PalWalk:
 
     def __iter__(self):
         c = self.constraints
-        symbols = c.alphabet.symbols
+        symbols = c.alphabet
         k = len(symbols)
         forbidden = c.forbidden_factors
         forbidden_lengths = sorted({len(f) for f in forbidden})
@@ -329,29 +328,34 @@ def deepest_word(constraints: ConstraintSet, hard_cap: int = 64) -> DepthScan:
     )
 
 
-def enumerate_words(alphabet: Alphabet, n: int, dedupe: str = "none"):
+def enumerate_words(alphabet: str, n: int, dedupe: str = "none"):
     """All words of length n over the alphabet, in lexicographic order.
 
     dedupe='iso' keeps one representative per renaming-or-reversal class
-    (the lexicographically least member). Guarded against enumerations
-    beyond 10**8 raw words; the arguments and the guard are checked before
-    the generator is returned, so a bad call raises at once.
+    (the canonical form, which is written in the letters a, b, c, ..., so
+    the alphabet must hold the first k letters of a..h in some order).
+    Guarded against enumerations beyond 10**8 raw words; the arguments and
+    the guard are checked before the generator is returned, so a bad call
+    raises at once.
     """
-    from .words import canonical_class
-
     if n < 0:
         raise ValueError("word length must be non-negative")
     if dedupe not in ("none", "iso"):
         raise ValueError("dedupe must be 'none' or 'iso'")
+    if dedupe == "iso" and set(alphabet) != set(SYMBOLS[: len(alphabet)]):
+        raise ValueError(
+            f"dedupe='iso' needs the first {len(alphabet)} letters of a..h as "
+            f"the alphabet, got {alphabet!r}"
+        )
     space = len(alphabet) ** n
     if space > ENUMERATION_GUARD:
         raise ValueError(
             f"enumeration of {len(alphabet)}^{n} = {space} words exceeds the "
             f"{ENUMERATION_GUARD} guard"
         )
-    words = (Word("".join(t), alphabet) for t in product(alphabet.symbols, repeat=n))
+    words = ("".join(t) for t in product(alphabet, repeat=n))
     if dedupe == "iso":
-        return (w for w in words if canonical_class(w).canonical.text == w.text)
+        return (w for w in words if canonical_form(w) == w)
     return words
 
 
@@ -368,7 +372,7 @@ def low_palindrome_words(
     """
     if not 1 <= max_letters <= 8:
         raise ValueError("max_letters must be 1..8")
-    constraints = ConstraintSet(Alphabet.of_size(max_letters), pal_budget=budget)
+    constraints = ConstraintSet(SYMBOLS[:max_letters], pal_budget=budget)
     walk = PalWalk(constraints, length, canonical=True)
     tree = walk.tree
     return [(w, tree.distinct_palindromes + 1) for w in walk.leaves()]

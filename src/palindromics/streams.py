@@ -4,19 +4,17 @@ from __future__ import annotations
 
 import threading
 
-from .words import Alphabet, Word
-
 
 class PrefixStream:
     """Base class for lazy producers of prefixes of one infinite word.
 
-    prefix(n) returns exactly the first n letters; successive requests are
-    prefixes of one another because materialization only ever appends.
+    prefix_text(n) returns exactly the first n letters; successive requests
+    are prefixes of one another because materialization only ever appends.
     Materialization is serialized behind a lock, so concurrent prefix
     requests on a shared stream are safe and consistent.
     """
 
-    def __init__(self, alphabet: Alphabet) -> None:
+    def __init__(self, alphabet: str) -> None:
         self.alphabet = alphabet
         self._text = ""
         self._lock = threading.Lock()
@@ -37,9 +35,6 @@ class PrefixStream:
                         f"{type(self).__name__} violated append-only materialization"
                     )
             return self._text[:n]
-
-    def prefix(self, n: int) -> Word:
-        return Word(self.prefix_text(n), self.alphabet)
 
 
 class ShiftedStream(PrefixStream):

@@ -1,76 +1,45 @@
-"""Finite words over small ordered alphabets, with the basic combinatorial toolkit.
+"""Words as plain ``str`` over the letters a..h, and the helpers shared on them.
 
-Symbols are abstract positions 0..7 rendered as the ASCII letters a..h; all
-parsing and printing goes through that rendering, and Alphabet rejects any
-other letter.
+Symbols are abstract positions 0..7 rendered as the ASCII letters a..h. A
+word or an alphabet is a ``str``; an alphabet lists distinct letters, and its
+order is the enumeration order. Text from outside the program passes one
+letter check where it enters: ``alphabet`` for an alphabet, ``alphabet_of``
+for a word. Everything past that check takes the letters as given.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 SYMBOLS = "abcdefgh"
 MAX_ALPHABET = len(SYMBOLS)
 
 
-class Alphabet:
-    """An ordered set of one to eight distinct letters from a..h.
+def alphabet(symbols: str) -> str:
+    """Check an alphabet given by its letters ('ab') or by its size ('2').
 
-    The order is total and fixed: it drives renaming canonicalization and
-    enumeration order. The cap keeps every transition table and renaming
-    scan desk-scale.
+    A size k stands for the first k letters of a..h. Letters must be one to
+    eight distinct letters of a..h; their order is kept, and it drives
+    enumeration order.
     """
-
-    __slots__ = ("symbols",)
-
-    def __init__(self, symbols: str) -> None:
-        symbols = "".join(symbols)
-        if not 1 <= len(symbols) <= MAX_ALPHABET:
-            raise ValueError(
-                f"alphabet must have 1..{MAX_ALPHABET} symbols, got {len(symbols)}"
-            )
-        if len(set(symbols)) != len(symbols):
-            raise ValueError(f"duplicate symbols in alphabet {symbols!r}")
-        for ch in symbols:
-            if ch not in SYMBOLS:
-                raise ValueError(f"letter {ch!r} is not one of {SYMBOLS!r}")
-        self.symbols = symbols
-
-    @classmethod
-    def of_size(cls, k: int) -> Alphabet:
-        """The first k letters of a..h."""
+    if symbols.isdigit():
+        k = int(symbols)
         if not 1 <= k <= MAX_ALPHABET:
             raise ValueError(f"alphabet size must be 1..{MAX_ALPHABET}, got {k}")
-        return cls(SYMBOLS[:k])
-
-    def index(self, symbol: str) -> int:
-        i = self.symbols.find(symbol)
-        if i < 0:
-            raise ValueError(f"symbol {symbol!r} not in alphabet {self.symbols!r}")
-        return i
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __contains__(self, symbol: object) -> bool:
-        return isinstance(symbol, str) and symbol in self.symbols
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Alphabet) and self.symbols == other.symbols
-
-    def __hash__(self) -> int:
-        return hash(self.symbols)
-
-    def __repr__(self) -> str:
-        return f"Alphabet({self.symbols!r})"
+        return SYMBOLS[:k]
+    if not 1 <= len(symbols) <= MAX_ALPHABET:
+        raise ValueError(
+            f"alphabet must have 1..{MAX_ALPHABET} symbols, got {len(symbols)}"
+        )
+    if len(set(symbols)) != len(symbols):
+        raise ValueError(f"duplicate symbols in alphabet {symbols!r}")
+    alphabet_of(symbols)  # raises on a letter outside a..h
+    return symbols
 
 
-def _infer_alphabet(text: str) -> Alphabet:
-    # Contiguous a..h prefix covering the highest letter present.
+def alphabet_of(text: str) -> str:
+    """The contiguous a..h prefix that covers every letter of text ('a' for
+    the empty word); raises ValueError on the first letter outside a..h."""
     size = 1
     for ch in text:
         i = SYMBOLS.find(ch)
@@ -78,109 +47,15 @@ def _infer_alphabet(text: str) -> Alphabet:
             raise ValueError(f"letter {ch!r} is not one of {SYMBOLS!r}")
         if i + 1 > size:
             size = i + 1
-    return Alphabet.of_size(size)
+    return SYMBOLS[:size]
 
 
-class Word:
-    """An immutable finite word. The empty word has length 0.
-
-    Equality and hashing compare the rendered text only; the alphabet is
-    carried metadata used by renaming and enumeration operations.
-    """
-
-    __slots__ = ("text", "alphabet")
-
-    def __init__(self, text: str = "", alphabet: Alphabet | None = None) -> None:
-        if alphabet is None:
-            alphabet = _infer_alphabet(text)
-        else:
-            for ch in text:
-                if ch not in alphabet.symbols:
-                    raise ValueError(
-                        f"letter {ch!r} is not in alphabet {alphabet.symbols!r}"
-                    )
-        self.text = text
-        self.alphabet = alphabet
-
-    def reverse(self) -> Word:
-        return Word(self.text[::-1], self.alphabet)
-
-    def __len__(self) -> int:
-        return len(self.text)
-
-    def __iter__(self):
-        return iter(self.text)
-
-    def __getitem__(self, item):
-        if isinstance(item, slice):
-            return Word(self.text[item], self.alphabet)
-        return self.text[item]
-
-    def __contains__(self, other) -> bool:
-        return _text(other) in self.text
-
-    def __add__(self, other) -> Word:
-        alpha = _join_alphabets(self.alphabet, _alphabet_of(other, self.alphabet))
-        return Word(self.text + _text(other), alpha)
-
-    def __mul__(self, n: int) -> Word:
-        return Word(self.text * n, self.alphabet)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Word):
-            return self.text == other.text
-        return NotImplemented
-
-    def __lt__(self, other: Word) -> bool:
-        return self.text < other.text
-
-    def __hash__(self) -> int:
-        return hash(self.text)
-
-    def __str__(self) -> str:
-        return self.text
-
-    def __repr__(self) -> str:
-        return f"Word({self.text!r})"
-
-
-def _text(w) -> str:
-    return w.text if isinstance(w, Word) else str(w)
-
-
-def _alphabet_of(w, default: Alphabet) -> Alphabet:
-    return w.alphabet if isinstance(w, Word) else _infer_alphabet(str(w))
-
-
-def _join_alphabets(a: Alphabet, b: Alphabet) -> Alphabet:
-    # One symbol set must extend the other; keep the larger.
-    if b.symbols.startswith(a.symbols):
-        return b
-    if a.symbols.startswith(b.symbols):
-        return a
-    raise ValueError(f"incompatible alphabets {a.symbols!r} and {b.symbols!r}")
-
-
-def occurrences(u: Word | str, v: Word | str) -> int:
-    """Number of (possibly overlapping) start positions of v in u."""
-    ut, vt = _text(u), _text(v)
-    if not vt:
-        raise ValueError("pattern must be non-empty")
-    count = 0
-    i = ut.find(vt)
-    while i >= 0:
-        count += 1
-        i = ut.find(vt, i + 1)
-    return count
-
-
-def least_period(u: Word | str) -> int:
-    """Smallest p such that u[i + p] == u[i] wherever both sides exist.
+def least_period(s: str) -> int:
+    """Smallest p such that s[i + p] == s[i] wherever both sides exist.
 
     Computed from the border (failure-function) array: the least period is
-    the length minus the longest proper border. Always between 1 and |u|.
+    the length minus the longest proper border. Always between 1 and |s|.
     """
-    s = _text(u)
     n = len(s)
     if n == 0:
         raise ValueError("the empty word has no period")
@@ -195,33 +70,8 @@ def least_period(u: Word | str) -> int:
     return n - border[n - 1]
 
 
-def max_run(w: Word | str, x: str) -> int:
-    """Largest k such that x**k is a factor of w (0 if x is absent)."""
-    if len(x) != 1:
-        raise ValueError("run letter must be a single symbol")
-    if isinstance(w, Word) and x not in w.alphabet:
-        raise ValueError(f"letter {x!r} not in alphabet {w.alphabet.symbols!r}")
-    best = run = 0
-    for ch in _text(w):
-        run = run + 1 if ch == x else 0
-        if run > best:
-            best = run
-    return best
-
-
-def factors(w: Word | str, n: int) -> set[Word]:
-    """All distinct length-n factors of w; empty set when n exceeds |w|."""
-    if n < 0:
-        raise ValueError("factor length must be non-negative")
-    s = _text(w)
-    alpha = _alphabet_of(w, None)
-    if n > len(s):
-        return set()
-    return {Word(s[i : i + n], alpha) for i in range(len(s) - n + 1)}
-
-
 def factor_strings(s: str, max_len: int) -> set[str]:
-    """Distinct non-empty factors of s up to length max_len, as raw strings."""
+    """Distinct non-empty factors of s up to length max_len."""
     out: set[str] = set()
     n = len(s)
     for length in range(1, min(max_len, n) + 1):
@@ -230,93 +80,58 @@ def factor_strings(s: str, max_len: int) -> set[str]:
     return out
 
 
-def alph(w: Word | str) -> str:
-    """The letters occurring in w, in alphabet order."""
-    s = _text(w)
-    return "".join(ch for ch in SYMBOLS if ch in s)
+def _renaming(s: str) -> str:
+    # Letters relabelled a, b, c, ... in order of first occurrence.
+    table: dict[str, str] = {}
+    for ch in s:
+        if ch not in table:
+            table[ch] = SYMBOLS[len(table)]
+    return s.translate(str.maketrans(table))
 
 
-def canonical_renaming(w: Word) -> Word:
-    """Lexicographically least renaming of w (letters relabelled a, b, c, ...
-    in order of first occurrence). Captures equivalence up to renaming only,
-    without reversal.
+def canonical_form(s: str) -> str:
+    """Representative of the words equal to s, or to its reversal, up to
+    letter renaming: the least of the first-occurrence renamings of s and of
+    its reversal. Two words are in one class exactly when their canonical
+    forms coincide, and all members of a class share one period set.
     """
-    mapping: dict[str, str] = {}
-    out = []
-    for ch in w.text:
-        if ch not in mapping:
-            mapping[ch] = SYMBOLS[len(mapping)]
-        out.append(mapping[ch])
-    return Word("".join(out), w.alphabet)
+    return min(_renaming(s), _renaming(s[::-1]))
 
 
-@dataclass(frozen=True)
-class IsoClass:
-    """Words equal to a fixed word, or to its reversal, up to letter renaming.
-
-    The canonical representative is the lexicographically least word among
-    all renamings of the word and of its reversal; two words are in the same
-    class exactly when their canonical forms coincide. All members share the
-    same period set.
-    """
-
-    canonical: Word
-
-    def __contains__(self, w: Word) -> bool:
-        return canonical_class(w).canonical == self.canonical
-
-    def members(self, alphabet: Alphabet | None = None) -> set[Word]:
-        """Every renaming of the representative and of its reversal."""
-        alphabet = alphabet or self.canonical.alphabet
-        out: set[Word] = set()
-        for base in (self.canonical.text, self.canonical.text[::-1]):
-            used = sorted(set(base), key=alphabet.index)
-            for image in permutations(alphabet.symbols, len(used)):
-                table = str.maketrans(dict(zip(used, image)))
-                out.add(Word(base.translate(table), alphabet))
-        return out
-
-
-def canonical_class(w: Word) -> IsoClass:
-    """The renaming-or-reversal equivalence class of w."""
-    fwd = canonical_renaming(w).text
-    bwd = canonical_renaming(w.reverse()).text
-    return IsoClass(Word(min(fwd, bwd), w.alphabet))
+def iso_class(s: str, alphabet: str) -> set[str]:
+    """Every renaming into the alphabet of s and of its reversal."""
+    out: set[str] = set()
+    for base in (s, s[::-1]):
+        used = sorted(set(base))
+        for image in permutations(alphabet, len(used)):
+            out.add(base.translate(str.maketrans(dict(zip(used, image)))))
+    return out
 
 
 class Morphism:
-    """A letterwise substitution map between alphabets.
+    """A letterwise substitution map.
 
-    Every source symbol must have a non-empty image over the target alphabet.
+    The source alphabet is the a..h prefix covering the letters with an
+    image, and every one of its letters must have a non-empty image; the
+    target alphabet is the a..h prefix covering the images.
     """
 
     __slots__ = ("source", "target", "images")
 
-    def __init__(
-        self,
-        images: dict[str, Word | str],
-        source: Alphabet | None = None,
-        target: Alphabet | None = None,
-    ) -> None:
+    def __init__(self, images: dict[str, str]) -> None:
         if not images:
             raise ValueError("a morphism needs at least one image")
-        if source is None:
-            source = _infer_alphabet("".join(images))
-        if set(images) != set(source.symbols):
+        source = alphabet_of("".join(images))
+        if set(images) != set(source):
             raise ValueError(
-                f"images must cover exactly the source alphabet {source.symbols!r}"
+                f"images must cover exactly the source alphabet {source!r}"
             )
-        if target is None:
-            target = _infer_alphabet("".join(_text(v) for v in images.values()))
-        fixed: dict[str, Word] = {}
+        self.target = alphabet_of("".join(images.values()))
         for sym, img in images.items():
-            img_w = Word(_text(img), target)
-            if len(img_w) == 0:
+            if not img:
                 raise ValueError(f"image of {sym!r} must be non-empty")
-            fixed[sym] = img_w
         self.source = source
-        self.target = target
-        self.images = fixed
+        self.images = dict(images)
 
     @classmethod
     def parse(cls, text: str) -> Morphism:
@@ -337,14 +152,8 @@ class Morphism:
             images[lhs] = rhs
         return cls(images)
 
-    def image(self, symbol: str) -> Word:
-        return self.images[symbol]
-
-    def apply(self, w: Word | str) -> Word:
-        parts = [self.images[ch].text for ch in _text(w)]
-        return Word("".join(parts), self.target)
-
-    __call__ = apply
+    def apply(self, s: str) -> str:
+        return "".join([self.images[ch] for ch in s])
 
     def is_prolongable(self, seed: str) -> bool:
         """True when image(seed) starts with seed and has length at least 2,
@@ -352,11 +161,11 @@ class Morphism:
         """
         if seed not in self.images:
             return False
-        img = self.images[seed].text
+        img = self.images[seed]
         return len(img) >= 2 and img.startswith(seed)
 
     def describe(self) -> str:
-        return ",".join(f"{s}->{self.images[s].text}" for s in self.source.symbols)
+        return ",".join(f"{s}->{self.images[s]}" for s in self.source)
 
     def __repr__(self) -> str:
         return f"Morphism({self.describe()!r})"

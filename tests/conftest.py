@@ -51,6 +51,15 @@ def naive_least_period(s: str) -> int:
     raise AssertionError("unreachable: |s| is always a period")
 
 
+def naive_renaming(s: str) -> str:
+    """Relabel the letters of s a, b, c, ... in order of first occurrence."""
+    first_seen: list[str] = []
+    for ch in s:
+        if ch not in first_seen:
+            first_seen.append(ch)
+    return "".join("abcdefgh"[first_seen.index(ch)] for ch in s)
+
+
 def naive_complete_first_returns(w: str, v: str) -> set[str]:
     """Every factor of w that begins and ends with v and holds exactly two
     occurrences of v."""

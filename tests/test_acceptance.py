@@ -13,13 +13,11 @@ from dataclasses import replace
 import pytest
 
 from palindromics import (
-    Alphabet,
-    Word,
-    canonical_class,
+    PeriodicStream,
+    canonical_form,
     complete_first_returns,
     least_period,
     pal_set,
-    periodic,
     replay_return_witness,
     resolve_generator,
     reversal_closure_check,
@@ -86,7 +84,7 @@ def test_criterion_04_binary_length9_floor():
     [row] = v.witnesses
     assert row["min_palindromes"] == 9
     # Direct witness attaining the floor: a period-6 power prefix.
-    assert pal_set(periodic("aababb").prefix(9)).count == 9
+    assert pal_set(PeriodicStream("aababb").prefix_text(9)).count == 9
     passed("04 every binary length-9 word with both letters has >= 9 palindromes")
 
 
@@ -102,7 +100,7 @@ def test_criterion_05_exactly_nine_characterization():
     assert row["class_member_squares"] == ["aababbaababb", "bbabaabbabaa"]
     assert len(row["squares_outside_class_members"]) == 10
     for s in row["squares"]:
-        assert pal_set(Word(s)).pal_set == PERIOD6_PAL_SET
+        assert pal_set(s).pal_set == PERIOD6_PAL_SET
     for ext in row["extensions"]:
         if ext["period"] != 6:
             assert ext["palindromes"] >= 10
@@ -158,7 +156,7 @@ def test_criterion_09_longest_palindrome_bounds():
     # factor at length <= 3.
     assert row["bound_length"] == 8
     assert row["longest_word_with_palindromes_le_3"] == "aaababbb"
-    assert len(pal_set(periodic("aabbab").prefix(60)).longest) == 4
+    assert len(pal_set(PeriodicStream("aabbab").prefix_text(60)).longest) == 4
     stab = stabilized_pal_set(resolve_generator("maxpal5"), cap=16384)
     assert stab.pal_set == MAXPAL5_PAL_SET
     assert stab.count == 15
@@ -186,7 +184,7 @@ def test_criterion_11_nonrich_850_and_exceptional_sets():
     assert row["nonrich_count"] == 850
     assert len(EXCEPTIONAL_PAL_SETS) == 4
     assert all(len(s) == 12 for s in EXCEPTIONAL_PAL_SETS)
-    witness_set = pal_set(Word(EXCEPTIONAL_WITNESS)).pal_set
+    witness_set = pal_set(EXCEPTIONAL_WITNESS).pal_set
     assert witness_set == EXCEPTIONAL_PAL_SETS[3]
     assert "aababaa" in witness_set
     passed("11 850 non-rich length-12 words; exceptional sets A-D with witness")
@@ -208,7 +206,7 @@ def test_criterion_12_return_families_verified_and_refutable():
     for witness in refuted.witnesses:
         assert replay_return_witness(weakened, witness)
         host = witness["host"]
-        returns = complete_first_returns(Word(host), Word(claim.anchor)).returns
+        returns = complete_first_returns(host, claim.anchor).returns
         assert witness["return"] in returns
     passed("12 four return-family claims verified at L=36; weakening refutes")
 
@@ -230,10 +228,10 @@ def test_criterion_13_minpal_ladder():
     [rowt] = t9.witnesses
     assert rowt["min_palindromes"] == 4
     assert len(rowt["argmin"]) == 6
-    canon = canonical_class(Word("abcabcabc")).canonical
+    canon = canonical_form("abcabcabc")
     for w in rowt["argmin"]:
-        assert least_period(Word(w)) == 3
-        assert canonical_class(Word(w)).canonical == canon
+        assert least_period(w) == 3
+        assert canonical_form(w) == canon
     passed("13 minpal ladder: binary 9@9, 9@12 (rotation squares), ternary 4@9")
 
 

@@ -3,10 +3,9 @@
 import pytest
 
 from palindromics import (
-    Word,
+    PeriodicStream,
     complete_first_returns,
     pal_set,
-    periodic,
     reversal_closure_check,
     resolve_generator,
     stabilized_pal_set,
@@ -22,19 +21,19 @@ from conftest import (
 
 class TestPalSet:
     def test_period6_square(self):
-        report = pal_set(Word("aababbaababb"))
+        report = pal_set("aababbaababb")
         assert report.pal_set == {
             "", "a", "b", "aa", "bb", "aba", "bab", "abba", "baab",
         }
         assert report.count == 9
 
     def test_empty_word(self):
-        report = pal_set(Word(""))
+        report = pal_set("")
         assert report.count == 1
         assert report.palindromes == ("",)
 
     def test_exceptional_witness(self):
-        report = pal_set(Word("aaababaabaaa"))
+        report = pal_set("aaababaabaaa")
         assert report.count == 12
         assert report.pal_set == {
             "", "b", "bab", "baab", "a", "aba", "ababa", "abaaba",
@@ -42,7 +41,7 @@ class TestPalSet:
         }
 
     def test_counts_consistent(self):
-        report = pal_set(Word("abacaba"))
+        report = pal_set("abacaba")
         assert report.count == len(report.palindromes)
         assert sum(report.per_length.values()) == report.count
         assert report.per_length[0] == 1
@@ -60,25 +59,25 @@ class TestPalSet:
         s = resolve_generator("fib-abbab")
         prev: frozenset = frozenset()
         for n in range(0, 2001, 250):
-            current = pal_set(s.prefix(n)).pal_set
+            current = pal_set(s.prefix_text(n)).pal_set
             assert prev <= current
             prev = current
 
 
 class TestRichness:
     def test_rich_examples(self):
-        assert pal_set(Word("abac")).richness_defect == 0
-        assert pal_set(Word("")).richness_defect == 0
-        assert pal_set(Word("aababbaababb")).richness_defect > 0
+        assert pal_set("abac").richness_defect == 0
+        assert pal_set("").richness_defect == 0
+        assert pal_set("aababbaababb").richness_defect > 0
 
 
 class TestLongestPalindrome:
     def test_tie_broken_by_first_occurrence(self):
-        assert pal_set(Word("ab")).longest == "a"
-        assert pal_set(Word("ba")).longest == "b"
+        assert pal_set("ab").longest == "a"
+        assert pal_set("ba").longest == "b"
 
     def test_plain(self):
-        assert pal_set(Word("aababbaababb")).longest == "abba"
+        assert pal_set("aababbaababb").longest == "abba"
 
     def test_matches_oracle_length(self):
         for s in all_words("ab", 9):
@@ -94,27 +93,27 @@ class TestLongestPalindrome:
 
 class TestCompleteFirstReturns:
     def test_period6_power(self):
-        w = periodic("aababb").prefix(24)
-        scan = complete_first_returns(w, Word("ababb"))
+        w = PeriodicStream("aababb").prefix_text(24)
+        scan = complete_first_returns(w, "ababb")
         assert scan.returns == ("ababbaababb",)
 
     def test_square_single_return(self):
-        scan = complete_first_returns(Word("aabaab"), Word("aab"))
+        scan = complete_first_returns("aabaab", "aab")
         assert scan.returns == ("aabaab",)
 
     def test_other_period6_power(self):
-        w = periodic("aabbab").prefix(30)
-        scan = complete_first_returns(w, Word("aab"))
+        w = PeriodicStream("aabbab").prefix_text(30)
+        scan = complete_first_returns(w, "aab")
         assert scan.returns == ("aabbabaab",)
 
     def test_anchor_not_found(self):
-        scan = complete_first_returns(Word("aaaa"), Word("b"))
+        scan = complete_first_returns("aaaa", "b")
         assert not scan.anchor_found
         assert scan.returns == ()
 
     def test_empty_anchor_rejected(self):
         with pytest.raises(ValueError):
-            complete_first_returns(Word("ab"), Word(""))
+            complete_first_returns("ab", "")
 
     def test_against_naive_scan(self):
         anchors = ("a", "ab", "aab", "aba")
@@ -150,17 +149,17 @@ class TestStabilizedPalSet:
         }
 
     def test_periodic_three_letters(self):
-        stab = stabilized_pal_set(periodic("abc"), cap=10000)
+        stab = stabilized_pal_set(PeriodicStream("abc"), cap=10000)
         assert stab.stable
         assert stab.count == 4
 
     def test_periodic_block_nine(self):
-        stab = stabilized_pal_set(periodic("aababb"), cap=10000)
+        stab = stabilized_pal_set(PeriodicStream("aababb"), cap=10000)
         assert stab.stable
         assert stab.count == 9
 
     def test_unstable_at_cap(self):
-        stab = stabilized_pal_set(periodic("ab"), cap=256)
+        stab = stabilized_pal_set(PeriodicStream("ab"), cap=256)
         assert not stab.stable
         assert stab.flag == "unstable-at-cap"
         assert stab.checked_horizon == 256
@@ -172,7 +171,7 @@ class TestStabilizedPalSet:
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            stabilized_pal_set(periodic("ab"), cap=31)
+            stabilized_pal_set(PeriodicStream("ab"), cap=31)
 
 
 class TestClosureCheck:
@@ -185,7 +184,7 @@ class TestClosureCheck:
         assert ("abaaa", "aaaba") in report.witness_missing
 
     def test_constant_word_closed(self):
-        report = reversal_closure_check(periodic("aa"), k=4, horizon=64)
+        report = reversal_closure_check(PeriodicStream("aa"), k=4, horizon=64)
         assert report.witness_missing == ()
         assert report.closed_up_to == 4
 
@@ -196,4 +195,4 @@ class TestClosureCheck:
 
     def test_horizon_precondition(self):
         with pytest.raises(ValueError):
-            reversal_closure_check(periodic("ab"), k=5, horizon=10)
+            reversal_closure_check(PeriodicStream("ab"), k=5, horizon=10)

@@ -1,10 +1,12 @@
-"""The benchmark's tracer patches library names by module and attribute.
+"""The benchmark reaches library names by module and attribute.
 
-perfbench/tracing.py is loaded read-only from its file; every name it would
-patch must still exist, or a traced benchmark run breaks while the library's
-own tests stay green.
+perfbench/tracing.py is loaded read-only from its file, and the imports of
+every perfbench/*.py file are read with ast; every name the tracer would
+patch or a benchmark file imports must still exist, or a benchmark run
+breaks while the library's own tests stay green.
 """
 
+import ast
 import importlib
 import importlib.util
 import pathlib
@@ -27,3 +29,36 @@ def test_traced_names_resolve():
     from palindromics.streams import PrefixStream
 
     assert callable(PrefixStream.prefix_text)
+
+
+def test_package_exports_resolve():
+    import palindromics
+
+    missing = [name for name in palindromics.__all__ if not hasattr(palindromics, name)]
+    assert not missing
+
+
+def _perfbench_imports():
+    """(module, name) for each palindromics import in perfbench/*.py; name is
+    None for a plain ``import palindromics...``. The files are parsed, not run."""
+    for path in sorted(TRACING.parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module and (
+                node.module.split(".")[0] == "palindromics"
+            ):
+                for alias in node.names:
+                    yield node.module, alias.name
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "palindromics":
+                        yield alias.name, None
+
+
+def test_perfbench_imports_resolve():
+    found = list(_perfbench_imports())
+    assert ("palindromics.generators", "resolve_generator") in found
+    for module, name in found:
+        mod = importlib.import_module(module)
+        if name is not None and not hasattr(mod, name):
+            # ``from package import submodule`` imports the submodule.
+            importlib.import_module(f"{module}.{name}")

@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 from palindromics import (
-    Alphabet,
     ClaimVerdict,
     manifest,
     replay_return_witness,
@@ -26,7 +25,7 @@ from palindromics.claims import (
 
 from conftest import all_words, naive_pal_set
 
-AB = Alphabet("ab")
+AB = "ab"
 
 
 def test_manifest_covers_registry():

@@ -73,10 +73,11 @@ class _CountingSink:
     [
         ["pal", "--gen", "fibonacci", "--horizon", "4000", "--format", "json"],
         ["pal", "--gen", "fibonacci", "--cap", "4096", "--format", "json"],
+        ["pal", "--gen", "fibonacci", "--cap", "4096"],
     ],
     ids=" ".join,
 )
-def test_pal_json_peak_memory_within_twice_the_output(argv):
+def test_pal_peak_memory_within_twice_the_output(argv):
     # The palindromes themselves are about one copy of the output; the
     # report path may add no second copy (a joined JSON string or text line).
     sink = _CountingSink()
@@ -183,10 +184,33 @@ def test_unknown_preset_exits_2_with_registry(capsys):
     assert "paperfolding" in err
 
 
+# Every place a word or an alphabet enters from the command line, with the
+# letter it must name.
+BAD_LETTERS = [
+    (["pal", "--word", "xyz"], "letter 'x' is not one of 'abcdefgh'"),
+    (["returns", "--word", "abx", "--anchor", "ab"],
+     "letter 'x' is not one of 'abcdefgh'"),
+    (["returns", "--word", "ab", "--anchor", "z"],
+     "letter 'z' is not one of 'abcdefgh'"),
+    (["gen", "--gen", "pow:xy"], "letter 'x' is not one of 'abcdefgh'"),
+    (["gen", "--gen", "revclose(U0=x,inserts=[a])"],
+     "letter 'x' is not one of 'abcdefgh'"),
+    (["gen", "--gen", "revclose(U0=a,inserts=[z])"],
+     "letter 'z' is not one of 'abcdefgh'"),
+    (["gen", "--gen", "image(a->x,b->b,fib)"],
+     "letter 'x' is not one of 'abcdefgh'"),
+    (["gen", "--gen", "fix(a->ay,y->a,a)"], "letter 'y' is not one of 'abcdefgh'"),
+    (["enumerate", "--alphabet", "ai", "--n", "2"],
+     "letter 'i' is not one of 'abcdefgh'"),
+    (["enumerate", "--alphabet", "0", "--n", "2"], "alphabet size must be 1..8, got 0"),
+    (["enumerate", "--alphabet", "9", "--n", "2"], "alphabet size must be 1..8, got 9"),
+]
+
+
 def test_bad_word_letters_exit_2(capsys):
-    code, _, err = run_cli(capsys, "pal", "--word", "xyz123")
-    assert code == 2
-    assert "error" in err
+    for argv, message in BAD_LETTERS:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
 def test_usage_error_exit_2():
@@ -211,7 +235,7 @@ def test_enumerate_filter_builds_one_report_per_word(capsys, monkeypatch):
     pal_set = palindromics.cli.pal_set
 
     def counting(w):
-        calls.append(w.text)
+        calls.append(w)
         return pal_set(w)
 
     monkeypatch.setattr(palindromics.cli, "pal_set", counting)
@@ -254,6 +278,15 @@ def test_enumerate_iso_dedupe(capsys):
     assert code == 0
     words = [l for l in out.splitlines() if not l.startswith("#")]
     assert words == ["aa", "ab"]
+
+
+def test_enumerate_iso_needs_the_leading_letters_exit_2(capsys):
+    # Canonical forms are written in a, b, c, ...: over 'bc' no word is one.
+    code, out, err = run_cli(
+        capsys, "enumerate", "--alphabet", "bc", "--n", "2", "--dedupe", "iso"
+    )
+    assert (code, out) == (2, "")
+    assert "first 2 letters of a..h" in err
 
 
 def test_enumerate_json_is_one_document(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palindromics import PalTree, Word, pal_set
+from palindromics import PalTree, pal_set
 
 from conftest import all_words, naive_pal_set, naive_pals_by_first_end
 

@@ -3,10 +3,9 @@
 import pytest
 
 from palindromics import (
-    Alphabet,
     ConstraintSet,
     FamilyTemplate,
-    Word,
+    canonical_form,
     deepest_word,
     enumerate_words,
     forbid_other_palindromes,
@@ -18,33 +17,36 @@ from palindromics.search import (
     palindromes_of_length,
 )
 
-from conftest import all_words, naive_complete_first_returns, naive_pal_set
+from conftest import (
+    all_words,
+    naive_complete_first_returns,
+    naive_pal_set,
+    naive_renaming,
+)
 
-AB = Alphabet("ab")
+AB = "ab"
 
 
 class TestEnumerateWords:
     def test_plain_binary(self):
-        got = [w.text for w in enumerate_words(AB, 2)]
+        got = list(enumerate_words(AB, 2))
         assert got == ["aa", "ab", "ba", "bb"]
 
     def test_iso_dedupe(self):
-        got = [w.text for w in enumerate_words(AB, 2, dedupe="iso")]
+        got = list(enumerate_words(AB, 2, dedupe="iso"))
         assert got == ["aa", "ab"]
 
     def test_count(self):
         assert sum(1 for _ in enumerate_words(AB, 9)) == 512
 
     def test_iso_covers_everything(self):
-        from palindromics import canonical_class
-
-        reps = {w.text for w in enumerate_words(AB, 4, dedupe="iso")}
+        reps = set(enumerate_words(AB, 4, dedupe="iso"))
         for s in all_words("ab", 4):
-            assert canonical_class(Word(s)).canonical.text in reps
+            assert canonical_form(s) in reps
 
     def test_guard(self):
         with pytest.raises(ValueError, match="guard"):
-            list(enumerate_words(Alphabet.of_size(8), 10))
+            list(enumerate_words("abcdefgh", 10))
 
     def test_bad_dedupe(self):
         with pytest.raises(ValueError):
@@ -253,7 +255,7 @@ def test_return_scan_matches_naive_oracle(case):
     kwargs, anchor, max_len = RETURN_CASES[case]
     alphabet = "abc" if case == "ternary" else "ab"
     scan = scan_complete_returns(
-        ConstraintSet(Alphabet(alphabet), **kwargs), anchor, max_len
+        ConstraintSet(alphabet, **kwargs), anchor, max_len
     )
     hosts = list(_oracle_hosts(
         alphabet, max_len,
@@ -277,7 +279,7 @@ def test_return_scan_matches_naive_oracle(case):
 @pytest.mark.parametrize("case", sorted(RETURN_CASES))
 def test_walk_counters_account_for_every_extension(case):
     kwargs, _, max_len = RETURN_CASES[case]
-    alphabet = Alphabet("abc" if case == "ternary" else "ab")
+    alphabet = "abc" if case == "ternary" else "ab"
     walk = PalWalk(ConstraintSet(alphabet, **kwargs), max_len)
     visited = [w for _, w in walk]
     st = walk.stats
@@ -298,7 +300,7 @@ def test_walk_counters_account_for_every_extension(case):
 
 
 def test_walk_yields_the_tree_of_each_word():
-    walk = PalWalk(ConstraintSet(Alphabet("abc"), pal_budget=7), 6)
+    walk = PalWalk(ConstraintSet("abc", pal_budget=7), 6)
     for _, w in walk:
         assert set(walk.tree.palindromes()) | {""} == naive_pal_set(w)
         assert walk.tree.text == w
@@ -313,9 +315,7 @@ def test_low_palindrome_words_exhaustive_check():
     # Canonical enumeration with a generous budget agrees with brute force
     # over the two-letter space.
     rows = dict(low_palindrome_words(2, 6, budget=7))
-    from palindromics import canonical_renaming
-
     for s in all_words("ab", 6):
-        canon = canonical_renaming(Word(s)).text
+        canon = naive_renaming(s)
         if len(naive_pal_set(s)) <= 7:
             assert rows[canon] == len(naive_pal_set(s))

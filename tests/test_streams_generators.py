@@ -5,19 +5,17 @@ import threading
 import pytest
 
 from palindromics import (
-    Alphabet,
+    FibonacciStream,
+    FixedPointStream,
+    ImageStream,
     Morphism,
+    PeriodicStream,
+    ReversalClosureStream,
     UnknownGeneratorError,
-    Word,
-    fibonacci,
-    fixed_point,
-    image,
     paperfolding,
     parse_generator_spec,
-    periodic,
     preset_names,
     resolve_generator,
-    reversal_closure,
     shift,
 )
 
@@ -39,9 +37,9 @@ def test_golden_prefixes(name, expected):
 def test_closed13_first_terms():
     stream = resolve_generator("closed13")
     u0 = "abaabbabaaabbaaba"
-    assert stream.term(0).text == u0
-    assert stream.term(1).text == u0 + "bbaa" + u0[::-1]
-    assert stream.term(2).text == (
+    assert stream.term(0) == u0
+    assert stream.term(1) == u0 + "bbaa" + u0[::-1]
+    assert stream.term(2) == (
         "abaabbabaaabbaababbaaabaabbaaababbaaba"
         "aabb"
         "abaabbabaaabbaabaaabbabaabbaaababbaaba"
@@ -50,9 +48,9 @@ def test_closed13_first_terms():
 
 def test_maxpal5_recursion_shape():
     stream = resolve_generator("maxpal5")
-    assert stream.term(0).text == "aabb"
-    assert stream.term(1).text == "aabb" + "ab" + "bbaa"
-    assert stream.term(2).text == stream.term(1).text + "ba" + stream.term(1).text[::-1]
+    assert stream.term(0) == "aabb"
+    assert stream.term(1) == "aabb" + "ab" + "bbaa"
+    assert stream.term(2) == stream.term(1) + "ba" + stream.term(1)[::-1]
 
 
 def test_maxpal5_second_term_has_fifteen_palindromes():
@@ -85,44 +83,44 @@ class TestPrefixMonotonicity:
 class TestFixedPoint:
     def test_thue_morse_by_hand_iteration(self):
         m = Morphism.parse("a->ab, b->ba")
-        assert fixed_point(m, "a").prefix_text(8) == "abbabaab"
+        assert FixedPointStream(m, "a").prefix_text(8) == "abbabaab"
 
     def test_constant(self):
         m = Morphism.parse("a->aa")
-        assert fixed_point(m, "a").prefix_text(6) == "aaaaaa"
+        assert FixedPointStream(m, "a").prefix_text(6) == "aaaaaa"
 
     def test_not_prolongable(self):
         with pytest.raises(ValueError, match="not prolongable"):
-            fixed_point(Morphism.parse("a->ba, b->a"), "a")
+            FixedPointStream(Morphism.parse("a->ba, b->a"), "a")
 
     def test_fixed_point_property(self):
         m = Morphism.parse("a->ab, b->a")
-        stream = fixed_point(m, "a")
+        stream = FixedPointStream(m, "a")
         full = stream.prefix_text(1000)
         for n in range(1, 1001):
             prefix = full[:n]
-            assert m.apply(Word(prefix)).text.startswith(prefix)
+            assert m.apply(prefix).startswith(prefix)
 
     def test_agrees_with_fibonacci_recurrence(self):
-        morphic = fixed_point(Morphism.parse("a->ab, b->a"), "a")
-        assert morphic.prefix_text(500) == fibonacci().prefix_text(500)
+        morphic = FixedPointStream(Morphism.parse("a->ab, b->a"), "a")
+        assert morphic.prefix_text(500) == FibonacciStream().prefix_text(500)
 
 
 class TestImage:
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
-            image(Morphism.parse("a->ab, b->ba"), periodic("abc"))
+            ImageStream(Morphism.parse("a->ab, b->ba"), PeriodicStream("abc"))
 
     def test_letterwise(self):
         m = Morphism.parse("a->ab, b->ba")
-        assert image(m, periodic("ab")).prefix_text(8) == "abbaabba"
+        assert ImageStream(m, PeriodicStream("ab")).prefix_text(8) == "abbaabba"
 
 
 class TestPaperfolding:
     def test_first_terms(self):
         stream = paperfolding()
-        assert stream.term(1).text == "aab"
-        assert stream.term(2).text == "aabaabb"
+        assert stream.term(1) == "aab"
+        assert stream.term(2) == "aabaabb"
 
     def test_term_lengths(self):
         stream = paperfolding()
@@ -132,46 +130,46 @@ class TestPaperfolding:
     def test_terms_are_prefixes(self):
         stream = paperfolding()
         for n in range(10):
-            assert stream.term(n + 1).text.startswith(stream.term(n).text)
+            assert stream.term(n + 1).startswith(stream.term(n))
 
 
 class TestPeriodic:
     def test_prefix(self):
-        assert periodic("abc").prefix_text(7) == "abcabca"
+        assert PeriodicStream("abc").prefix_text(7) == "abcabca"
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            periodic("")
+            PeriodicStream("")
 
 
 class TestShift:
     def test_periodic_shift(self):
-        assert shift(periodic("ab"), 1).prefix_text(4) == "baba"
+        assert shift(PeriodicStream("ab"), 1).prefix_text(4) == "baba"
 
     def test_zero_shift_is_same_stream(self):
-        s = periodic("ab")
+        s = PeriodicStream("ab")
         assert shift(s, 0) is s
 
     def test_fibonacci_shift(self):
-        assert shift(fibonacci(), 1).prefix_text(5) == "baaba"
+        assert shift(FibonacciStream(), 1).prefix_text(5) == "baaba"
 
     def test_nested_shifts_flatten(self):
-        s = shift(shift(fibonacci(), 2), 3)
-        assert s.prefix_text(10) == fibonacci().prefix_text(15)[5:]
+        s = shift(shift(FibonacciStream(), 2), 3)
+        assert s.prefix_text(10) == FibonacciStream().prefix_text(15)[5:]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            shift(periodic("ab"), -1)
+            shift(PeriodicStream("ab"), -1)
 
 
 class TestReversalClosure:
     def test_identity_transform(self):
-        s = reversal_closure(Word("ab"), ["c"], transform="id")
+        s = ReversalClosureStream("ab", ["c"], transform="id")
         assert s.prefix_text(8) == "abcabcab"[:8]
 
     def test_bad_transform(self):
         with pytest.raises(ValueError):
-            reversal_closure(Word("ab"), ["c"], transform="mirror")
+            ReversalClosureStream("ab", ["c"], transform="mirror")
 
     def test_closure_by_construction(self):
         # With plain reversal every term is closed under reversal: the factor
