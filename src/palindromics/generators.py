@@ -32,9 +32,15 @@ class PeriodicStream(PrefixStream):
 class FixedPointStream(PrefixStream):
     """The unique fixed point of a morphism prolongable at a seed letter.
 
-    Materializes by self-reading: the buffer starts as image(seed) and each
-    step appends the image of the next unexpanded buffer letter, so the cost
-    of prefix_text(n) is linear in n.
+    Materializes by self-reading. The text T is always the image of its
+    first k letters (T = image(seed) and k = 1 at the start), so the image
+    of the unexpanded rest T[k:] is the next stretch of the fixed point.
+    Each round expands that rest with one join, or only its first n - |T|
+    letters, which suffice because no image is empty. A round adds at least
+    as many letters as it reads, so prefix_text(n) takes time linear in n,
+    even for a slowly growing morphism such as a->ab, b->b, which adds one
+    letter a round. The text holds at most m * n letters, m being the
+    longest image length.
     """
 
     def __init__(self, morphism: Morphism, seed: str) -> None:
@@ -45,15 +51,22 @@ class FixedPointStream(PrefixStream):
         super().__init__(morphism.target)
         self.morphism = morphism
         self.seed = seed
-        self._letters: list[str] = list(morphism.images[seed])
-        self._next = 1
+        self._text = morphism.images[seed]
+        self._next = 1  # the text is the image of its first _next letters
 
     def _grow(self, n: int) -> None:
-        letters, images = self._letters, self.morphism.images
-        while len(letters) < n:
-            letters.extend(images[letters[self._next]])
-            self._next += 1
-        self._text = "".join(letters)
+        image = self.morphism.images.__getitem__
+        parts = [self._text]
+        total = len(self._text)
+        rest = self._text[self._next :]
+        while total < n:
+            # Taking fewer than all of rest reaches n, so ends the loop.
+            take = rest[: n - total]
+            self._next += len(take)
+            rest = "".join(map(image, take))
+            parts.append(rest)
+            total += len(rest)
+        self._text = "".join(parts)
 
 
 class ImageStream(PrefixStream):
@@ -79,10 +92,9 @@ class ImageStream(PrefixStream):
             take = max(64, n - total)
             chunk = self.inner.prefix_text(self._consumed + take)[self._consumed :]
             self._consumed += len(chunk)
-            for ch in chunk:
-                img = images[ch]
-                parts.append(img)
-                total += len(img)
+            chunk = "".join(map(images.__getitem__, chunk))
+            parts.append(chunk)
+            total += len(chunk)
         self._text = "".join(parts)
 
 
@@ -99,7 +111,8 @@ class ReversalClosureStream(PrefixStream):
     next, so the limit is well defined.
 
     The alphabet is the a..h prefix covering u0 and the inserts, or the
-    given alphabet when that is longer; it matters only to revcomp.
+    given alphabet, itself an a..h prefix, when that is longer; it matters
+    only to revcomp.
     """
 
     def __init__(
@@ -112,6 +125,10 @@ class ReversalClosureStream(PrefixStream):
         if transform not in TRANSFORMS:
             raise ValueError(f"transform must be one of {TRANSFORMS}, got {transform!r}")
         covered = alphabet_of(u0 + "".join(inserts))
+        if alphabet and alphabet_of(alphabet) != alphabet:
+            raise ValueError(
+                f"alphabet must be the first letters of a..h, got {alphabet!r}"
+            )
         if len(alphabet) <= len(covered):
             alphabet = covered
         super().__init__(alphabet)
@@ -262,13 +279,18 @@ def _morphism_from_token(token: str) -> Morphism:
     return named_morphism(token.strip())
 
 
+REVCLOSE_KEYS = frozenset({"U0", "inserts", "t", "alphabet"})
+
+
 def parse_generator_spec(text: str) -> PrefixStream:
     """Parse the one-line spec form.
 
     Forms: pow(WORD) | fix(RULES, SEED) | image(MORPHISM, INNER)
-    | revclose(U0=WORD, inserts=[W1,W2,...], t=rev|revcomp|id)
+    | revclose(U0=WORD, inserts=[W1,W2,...], t=rev|revcomp|id, alphabet=LETTERS)
     | shift(INNER, K) | any preset name. MORPHISM is a named morphism or
-    inline rules 'a->ab,b->a'; INNER is itself a spec or preset name.
+    inline rules 'a->ab,b->a'; INNER is itself a spec or preset name. In
+    revclose, t defaults to rev and alphabet to the letters of U0 and the
+    inserts; any other key is an error.
     """
     call = _parse_call(text)
     if call is None:
@@ -299,6 +321,12 @@ def parse_generator_spec(text: str) -> PrefixStream:
             if not sep:
                 raise UnknownGeneratorError(f"revclose expects key=value, got {arg!r}")
             kwargs[key.strip()] = value.strip()
+        unknown = set(kwargs) - REVCLOSE_KEYS
+        if unknown:
+            raise UnknownGeneratorError(
+                f"revclose got unknown keys {sorted(unknown)}; "
+                f"keys: {', '.join(sorted(REVCLOSE_KEYS))}"
+            )
         missing = {"U0", "inserts"} - set(kwargs)
         if missing:
             raise UnknownGeneratorError(f"revclose missing {sorted(missing)}")
@@ -306,7 +334,9 @@ def parse_generator_spec(text: str) -> PrefixStream:
         if not (inserts_body.startswith("[") and inserts_body.endswith("]")):
             raise UnknownGeneratorError("revclose inserts must look like [w1,w2]")
         inserts = [w.strip() for w in inserts_body[1:-1].split(",") if w.strip()]
-        return ReversalClosureStream(kwargs["U0"], inserts, kwargs.get("t", "rev"))
+        return ReversalClosureStream(
+            kwargs["U0"], inserts, kwargs.get("t", "rev"), kwargs.get("alphabet", "")
+        )
     raise UnknownGeneratorError(
         f"unknown generator form {head!r}; forms: pow, fix, image, shift, revclose"
     )

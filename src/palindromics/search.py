@@ -147,11 +147,12 @@ class PalWalk:
 
     Iterating yields (depth, word) for each visited word in preorder, the
     empty root first. While the consumer holds a word, ``tree`` is the
-    palindromic tree of exactly that word: the walk pushes a letter on the
-    way down and pops it on the way back, so every prefix is processed once
-    for all the words that share it. With canonical=True a letter is tried
-    only up to one past the largest letter used so far, which visits one
-    member of each renaming class.
+    palindromic tree of exactly that word: the walk adds a letter with
+    PalTree.push on the way down and takes it back with PalTree.pop on the
+    way back, so every prefix is processed once for all the words that
+    share it. With canonical=True a letter is tried only up to one past the
+    largest letter used so far, which visits one member of each renaming
+    class.
 
     A palindrome is new exactly when the push creates a node, and only then
     are the cap and budget charged. Backtracking voids the eertree's

@@ -76,6 +76,23 @@ def naive_complete_first_returns(w: str, v: str) -> set[str]:
     return out
 
 
+def naive_image(images: dict[str, str], s: str) -> str:
+    """The letterwise image of s, one letter at a time."""
+    out = ""
+    for ch in s:
+        out += images[ch]
+    return out
+
+
+def naive_fixed_point(images: dict[str, str], seed: str, n: int) -> str:
+    """The first n letters of the fixed point of a morphism prolongable at
+    seed, by applying the whole morphism to seed until n letters exist."""
+    w = seed
+    while len(w) < n:
+        w = naive_image(images, w)
+    return w[:n]
+
+
 def all_words(alphabet: str, n: int):
     for tup in product(alphabet, repeat=n):
         yield "".join(tup)

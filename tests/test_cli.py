@@ -128,6 +128,21 @@ def test_gen_spec_string(capsys):
     assert out.strip() == "abcaabcabcaabcaabcabcaabcabca"
 
 
+def test_revclose_alphabet_key_spells_paperfolding(capsys):
+    spec = "revclose(U0=a,inserts=[a],t=revcomp,alphabet=ab)"
+    spec_run = run_cli(capsys, "gen", "--gen", spec, "--horizon", "200")
+    preset_run = run_cli(capsys, "gen", "--gen", "paperfolding", "--horizon", "200")
+    assert spec_run == preset_run
+    assert spec_run[0] == 0
+
+
+@pytest.mark.parametrize("key", ["tt=revcomp", "alphabett=ab", "u0=a"])
+def test_revclose_unknown_key_exit_2(capsys, key):
+    code, out, err = run_cli(capsys, "gen", "--gen", f"revclose(U0=a,inserts=[a],{key})")
+    assert (code, out) == (2, "")
+    assert f"revclose got unknown keys ['{key.partition('=')[0]}']" in err
+
+
 def test_closure_json(capsys):
     code, out, _ = run_cli(
         capsys, "closure", "--gen", "fib-bc", "--k", "2", "--format", "json"
@@ -197,6 +212,10 @@ BAD_LETTERS = [
      "letter 'x' is not one of 'abcdefgh'"),
     (["gen", "--gen", "revclose(U0=a,inserts=[z])"],
      "letter 'z' is not one of 'abcdefgh'"),
+    (["gen", "--gen", "revclose(U0=a,inserts=[a],t=revcomp,alphabet=xy)"],
+     "letter 'x' is not one of 'abcdefgh'"),
+    (["gen", "--gen", "revclose(U0=a,inserts=[a],t=revcomp,alphabet=ac)"],
+     "alphabet must be the first letters of a..h, got 'ac'"),
     (["gen", "--gen", "image(a->x,b->b,fib)"],
      "letter 'x' is not one of 'abcdefgh'"),
     (["gen", "--gen", "fix(a->ay,y->a,a)"], "letter 'y' is not one of 'abcdefgh'"),

@@ -1,10 +1,12 @@
 """Palindromic tree behaviour against the naive enumeration oracle."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palindromics import PalTree, pal_set
+from palindromics import FibonacciStream, PalTree, pal_set
 
 from conftest import all_words, naive_pal_set, naive_pals_by_first_end
 
@@ -18,11 +20,11 @@ def test_empty_tree():
 
 def test_incremental_growth_flags():
     tree = PalTree()
-    assert tree.append("a") is True       # a
-    assert tree.append("b") is True       # b
-    assert tree.append("c") is True       # c
-    assert tree.append("a") is False      # longest suffix palindrome is just a
-    assert tree.append("b") is False
+    assert tree.push("a") == 1       # a
+    assert tree.push("b") == 1       # b
+    assert tree.push("c") == 1       # c
+    assert tree.push("a") == 0       # longest suffix palindrome is just a
+    assert tree.push("b") == 0
     assert tree.distinct_palindromes == 3
     assert tree.last_growth == 3
 
@@ -32,9 +34,49 @@ def test_at_most_one_node_per_letter():
         tree = PalTree()
         before = tree.node_count
         for ch in s:
-            tree.append(ch)
+            tree.extend(ch)
             assert tree.node_count - before <= 1
             before = tree.node_count
+
+
+def _state(tree):
+    return (
+        tree.text,
+        tree.palindromes(),
+        tree.node_count,
+        tree.suffix_node,
+        tree.last_growth,
+    )
+
+
+@pytest.mark.parametrize("alphabet, max_n", [("ab", 10), ("abc", 7)])
+def test_extend_chunks_and_pushes_agree(alphabet, max_n):
+    for n in range(max_n + 1):
+        for s in all_words(alphabet, n):
+            built = _state(PalTree(s))
+            assert built[1] == naive_pals_by_first_end(s), s
+            for k in range(n + 1):
+                tree = PalTree(s[:k])
+                tree.extend(s[k:])
+                assert _state(tree) == built, (s, k)
+            pushed = PalTree()
+            for ch in s:
+                pushed.push(ch)
+            assert _state(pushed) == built, s
+
+
+def test_peak_memory_per_letter():
+    # A dict per node costs about 320 bytes a letter on this rich word,
+    # whose every letter creates a node; per-letter edge maps about 165.
+    text = FibonacciStream().prefix_text(1 << 16)
+    tracemalloc.start()
+    try:
+        tree = PalTree(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.node_count == len(text) + 2
+    assert peak <= 200 * len(text), peak / len(text)
 
 
 def test_node_count_matches_pal_set():
@@ -73,18 +115,14 @@ def test_extract_after_long_run():
 
 
 def _assert_same_as_fresh(tree, text):
-    fresh = PalTree(text)
     assert tree.text == text
-    assert tree.node_count == fresh.node_count
-    assert tree.palindromes() == fresh.palindromes()
-    assert tree.last_growth == fresh.last_growth
-    assert tree.suffix_node == fresh.suffix_node
+    assert _state(tree) == _state(PalTree(text))
     assert set(tree.palindromes()) | {""} == naive_pal_set(text)
 
 
 @st.composite
 def undo_scripts(draw):
-    """A base text built by append, then rounds of (pop back to a depth no
+    """A base text built by extend, then rounds of (pop back to a depth no
     shallower than the base, push a word)."""
     words = st.text(alphabet=draw(st.sampled_from(["ab", "abc"])), max_size=16)
     base = draw(words)
@@ -111,4 +149,28 @@ def test_pop_restores_the_tree_of_the_prefix(script):
             new = naive_pal_set(text) - before
             # At most one new palindrome per letter, and push reports its length.
             assert tree.push(ch) == max(map(len, new), default=0)
+            _assert_same_as_fresh(tree, text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_push_pop_on_a_base_grown_by_extend(data):
+    """Rounds of: extend the base by a chunk, push a word, pop back to the
+    base. Each push and pop is checked against a fresh tree."""
+    words = st.text(alphabet=data.draw(st.sampled_from(["ab", "abc"])), max_size=12)
+    tree, base = PalTree(), ""
+    for _ in range(data.draw(st.integers(1, 4))):
+        chunk = data.draw(words)
+        tree.extend(chunk)
+        base += chunk
+        _assert_same_as_fresh(tree, base)
+        text = base
+        for ch in data.draw(words):
+            new = naive_pal_set(text + ch) - naive_pal_set(text)
+            text += ch
+            assert tree.push(ch) == max(map(len, new), default=0)
+            _assert_same_as_fresh(tree, text)
+        while len(text) > len(base):
+            tree.pop()
+            text = text[:-1]
             _assert_same_as_fresh(tree, text)

@@ -4,6 +4,8 @@ import threading
 
 import pytest
 
+from conftest import naive_fixed_point, naive_image
+
 from palindromics import (
     FibonacciStream,
     FixedPointStream,
@@ -104,6 +106,36 @@ class TestFixedPoint:
     def test_agrees_with_fibonacci_recurrence(self):
         morphic = FixedPointStream(Morphism.parse("a->ab, b->a"), "a")
         assert morphic.prefix_text(500) == FibonacciStream().prefix_text(500)
+
+
+# name -> (images, seed) of fixed points, from fast- to slow-growing.
+FIXED_POINTS = {
+    "thue-morse": ({"a": "ab", "b": "ba"}, "a"),
+    "fibonacci": ({"a": "ab", "b": "a"}, "a"),
+    "slow": ({"a": "ab", "b": "b"}, "a"),
+    "ternary": ({"a": "abc", "b": "ac", "c": "b"}, "a"),
+}
+# Growing requests on one stream, with repeats, one-letter steps and a step back.
+REQUESTS = (1, 2, 2, 3, 7, 8, 9, 64, 65, 500, 499, 1000, 1001, 2500)
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_POINTS))
+def test_fixed_point_prefixes_match_oracle(name):
+    images, seed = FIXED_POINTS[name]
+    stream = FixedPointStream(Morphism(images), seed)
+    expected = naive_fixed_point(images, seed, max(REQUESTS))
+    for n in REQUESTS:
+        assert stream.prefix_text(n) == expected[:n], n
+
+
+@pytest.mark.parametrize("ref", ["fib-abbab", "fib-bc"])
+def test_image_prefixes_match_oracle(ref):
+    # Both are images of the Fibonacci word, the fixed point of a->ab, b->a.
+    stream = resolve_generator(ref)
+    fibonacci = naive_fixed_point(FIXED_POINTS["fibonacci"][0], "a", max(REQUESTS))
+    expected = naive_image(stream.morphism.images, fibonacci)
+    for n in REQUESTS:
+        assert stream.prefix_text(n) == expected[:n], n
 
 
 class TestImage:
