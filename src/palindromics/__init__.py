@@ -29,7 +29,6 @@ from .generators import (
     ReversalClosureStream,
     UnknownGeneratorError,
     paperfolding,
-    parse_generator_spec,
     preset_names,
     resolve_generator,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "minpal_scan",
     "pal_set",
     "paperfolding",
-    "parse_generator_spec",
     "preset_names",
     "replay_return_witness",
     "resolve_generator",

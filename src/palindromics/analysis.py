@@ -213,10 +213,9 @@ def reversal_closure_check(
         raise ValueError("horizon must be at least 4k")
     full = s.prefix_text(horizon)
     half = full[: horizon // 2]
-    have = factor_strings(full, k)
     missing = []
     for u in sorted(factor_strings(half, k), key=lambda f: (len(f), f)):
-        if u[::-1] not in have:
+        if u[::-1] not in full:
             missing.append((u, u[::-1]))
     closed_up_to = k
     for u, _ in missing:

@@ -70,7 +70,11 @@ class FixedPointStream(PrefixStream):
 
 
 class ImageStream(PrefixStream):
-    """Letterwise image of another stream under a morphism."""
+    """Letterwise image of another stream under a morphism.
+
+    A round maps ceil(r / m) inner letters, r letters being missing and m
+    the longest image, so growing to n letters leaves fewer than n + m.
+    """
 
     def __init__(self, morphism: Morphism, inner: PrefixStream) -> None:
         if set(inner.alphabet) - set(morphism.source):
@@ -87,9 +91,10 @@ class ImageStream(PrefixStream):
         images = self.morphism.images
         parts = [self._text]
         total = len(self._text)
+        longest = max(map(len, images.values()))
         while total < n:
-            # Every image is non-empty, so n fresh inner letters suffice.
-            take = max(64, n - total)
+            # No image is empty, so each round adds at least one letter.
+            take = (n - total + longest - 1) // longest
             chunk = self.inner.prefix_text(self._consumed + take)[self._consumed :]
             self._consumed += len(chunk)
             chunk = "".join(map(images.__getitem__, chunk))
@@ -264,7 +269,6 @@ def _split_args(body: str) -> list[str]:
 
 
 def _parse_call(text: str) -> tuple[str, list[str]] | None:
-    text = text.strip()
     if not text.endswith(")"):
         return None
     head, sep, rest = text.partition("(")
@@ -282,19 +286,27 @@ def _morphism_from_token(token: str) -> Morphism:
 REVCLOSE_KEYS = frozenset({"U0", "inserts", "t", "alphabet"})
 
 
-def parse_generator_spec(text: str) -> PrefixStream:
-    """Parse the one-line spec form.
+def resolve_generator(ref: str) -> PrefixStream:
+    """Resolve a generator reference to a fresh stream.
 
-    Forms: pow(WORD) | fix(RULES, SEED) | image(MORPHISM, INNER)
-    | revclose(U0=WORD, inserts=[W1,W2,...], t=rev|revcomp|id, alphabet=LETTERS)
-    | shift(INNER, K) | any preset name. MORPHISM is a named morphism or
-    inline rules 'a->ab,b->a'; INNER is itself a spec or preset name. In
-    revclose, t defaults to rev and alphabet to the letters of U0 and the
-    inserts; any other key is an error.
+    A reference is tried as, in order: a preset name (see preset_names());
+    pow:WORD, the shorthand for pow(WORD); or a call
+    pow(WORD) | fix(RULES, SEED) | image(MORPHISM, INNER) | shift(INNER, K)
+    | revclose(U0=WORD, inserts=[W1,W2,...], t=rev|revcomp|id, alphabet=LETTERS).
+    MORPHISM is a named morphism or inline rules 'a->ab,b->a'; INNER is
+    itself a reference, resolved by this same function. In revclose, t
+    defaults to rev and alphabet to the letters of U0 and the inserts; any
+    other key is an error. Anything else, an unclosed call included, raises
+    UnknownGeneratorError.
     """
-    call = _parse_call(text)
+    ref = ref.strip()
+    if ref in PRESETS:
+        return PRESETS[ref][1]()
+    if ref.startswith("pow:"):
+        return PeriodicStream(ref[4:])
+    call = _parse_call(ref)
     if call is None:
-        return resolve_generator(text)
+        raise UnknownGeneratorError(f"unknown generator {ref!r}")
     head, args = call
     if head == "pow":
         if len(args) != 1:
@@ -340,15 +352,3 @@ def parse_generator_spec(text: str) -> PrefixStream:
     raise UnknownGeneratorError(
         f"unknown generator form {head!r}; forms: pow, fix, image, shift, revclose"
     )
-
-
-def resolve_generator(ref: str) -> PrefixStream:
-    """Resolve a preset name, pow:<word> shorthand, or spec string."""
-    ref = ref.strip()
-    if ref in PRESETS:
-        return PRESETS[ref][1]()
-    if ref.startswith("pow:"):
-        return PeriodicStream(ref[4:])
-    if "(" in ref:
-        return parse_generator_spec(ref)
-    raise UnknownGeneratorError(f"unknown generator {ref!r}")

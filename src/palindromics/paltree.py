@@ -13,9 +13,9 @@ tree's lists bound to locals and both suffix-link climbs written inline.
 push(ch) and pop() let a depth-first search grow and shrink the text letter
 by letter (the undoable eertree of Rubinchik & Shur, "EERTREE",
 arXiv:1506.04862). push() writes out the same step for one letter and also
-records the node it gave a child, so pop() deletes that edge without
-climbing again, and extend() pays nothing for undo. A push() routed through
-extend() made the returns scans at depth 48 about a fifth slower.
+records the suffix it started from and the node it gave a child, so pop()
+deletes that edge without climbing again; extend() pays nothing for undo.
+A push() routed through extend() made depth-48 returns scans a fifth slower.
 
 Edges are stored as one dict per letter, mapping a node to its child by that
 letter, instead of one dict per node. Every node but the roots has exactly
@@ -27,7 +27,8 @@ a node, a tree takes about 165 bytes per node under tracemalloc, against
 A node is created at the first position where its palindrome ends, and at
 most one node per position, so creation order is the order of first
 occurrence: among palindromes of one length, the earlier-created one also
-starts earlier. palindromes() lists them in that order.
+starts earlier. palindromes() lists them in that order, and last_growth is
+the first end of the newest node, so push() and pop() need not track it.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ class PalTree:
 
     Node 0 is the length -1 root, node 1 the length 0 (empty) root. Each
     real node stores its palindrome length, suffix link and the prefix
-    length at its first occurrence (its first end); ``_to[ch][v]`` is the
-    child of v by ch.
+    length at its first occurrence (its first end; 0 for the roots);
+    ``_to[ch][v]`` is the child of v by ch; ``_undo`` holds one
+    (suffix, parent) record per push().
     """
 
     __slots__ = (
@@ -51,7 +53,6 @@ class PalTree:
         "_to",
         "_first_end",
         "_suffix",
-        "_last_growth",
         "_undo",
     )
 
@@ -65,10 +66,8 @@ class PalTree:
         self._to: defaultdict[str, dict[int, int]] = defaultdict(dict)
         self._first_end = [0, 0]
         self._suffix = 1  # longest palindromic suffix of the processed prefix
-        self._last_growth = 0
-        # (suffix, last_growth, parent) per push; parent is the node the
-        # push gave a child, or -1 when it created none.
-        self._undo: list[tuple[int, int, int]] = []
+        # parent is the node a push gave a child, or -1 if it created none.
+        self._undo: list[tuple[int, int]] = []
         self.extend(text)
 
     def extend(self, text: str) -> None:
@@ -79,7 +78,6 @@ class PalTree:
         start = len(s) - 1
         s.extend(text)
         v = self._suffix
-        last_growth = self._last_growth
         # ch is letter i, s[i + 1]. It extends the palindromic suffix v when
         # the letter before v's occurrence, s[i - len(v)], is ch too.
         for i, ch in enumerate(text, start):
@@ -99,11 +97,9 @@ class PalTree:
                 nxt = edges[v] = len(lens)
                 lens.append(n)
                 links.append(link)
-                last_growth = i + 1
-                first_end.append(last_growth)
+                first_end.append(i + 1)
             v = nxt
         self._suffix = v
-        self._last_growth = last_growth
 
     def push(self, ch: str) -> int:
         """Append one letter so that pop() can take it back.
@@ -122,7 +118,7 @@ class PalTree:
         edges = self._to[ch]
         nxt = edges.get(v)
         if nxt is not None:
-            self._undo.append((suffix, self._last_growth, -1))
+            self._undo.append((suffix, -1))
             self._suffix = nxt
             return 0
         n = lens[v] + 2
@@ -133,17 +129,16 @@ class PalTree:
             while s[i - lens[w]] != ch:
                 w = links[w]
             link = edges[w]
-        self._undo.append((suffix, self._last_growth, v))
+        self._undo.append((suffix, v))
         self._suffix = edges[v] = len(lens)
         lens.append(n)
         links.append(link)
         self._first_end.append(i + 1)
-        self._last_growth = i + 1
         return n
 
     def pop(self) -> None:
         """Undo the latest push(), restoring the tree it started from."""
-        self._suffix, self._last_growth, parent = self._undo.pop()
+        self._suffix, parent = self._undo.pop()
         ch = self._s.pop()
         if parent >= 0:
             del self._to[ch][parent]
@@ -172,8 +167,9 @@ class PalTree:
 
     @property
     def last_growth(self) -> int:
-        """Prefix length at which the palindrome set last grew (0 if never)."""
-        return self._last_growth
+        """Prefix length at which the palindrome set last grew: the first end
+        of the newest node, or the roots' 0 when there is no palindrome."""
+        return self._first_end[-1]
 
     def palindromes(self) -> list[str]:
         """The distinct non-empty palindromic factors, in creation order.

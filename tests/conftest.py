@@ -38,6 +38,37 @@ def naive_pals_by_first_end(s: str) -> list[str]:
     return sorted(first_end, key=first_end.__getitem__)
 
 
+def naive_last_growth(s: str) -> int:
+    """The prefix length at which the set of distinct palindromic factors
+    last grew (0 for a word without one), found by trying every factor in
+    order of its end."""
+    seen: set[str] = set()
+    last = 0
+    for end in range(1, len(s) + 1):
+        for start in range(end):
+            f = s[start:end]
+            if f == f[::-1] and f not in seen:
+                seen.add(f)
+                last = end
+    return last
+
+
+def naive_missing_reversals(text: str, k: int) -> list[tuple[str, str]]:
+    """(u, reversal of u) for every factor u of the first half of text, of
+    length 1..k, whose reversal matches no window of text; by length, then
+    lexicographically."""
+    half = text[: len(text) // 2]
+    factors = {
+        half[i : i + n] for n in range(1, k + 1) for i in range(len(half) - n + 1)
+    }
+    out = []
+    for u in sorted(factors, key=lambda f: (len(f), f)):
+        r = u[::-1]
+        if not any(text[i : i + len(r)] == r for i in range(len(text) - len(r) + 1)):
+            out.append((u, r))
+    return out
+
+
 def naive_occurrences(u: str, v: str) -> int:
     """Sliding-window occurrence counter."""
     return sum(1 for i in range(len(u) - len(v) + 1) if u[i : i + len(v)] == v)

@@ -15,6 +15,7 @@ from conftest import (
     all_words,
     naive_complete_first_returns,
     naive_earliest_longest,
+    naive_missing_reversals,
     naive_pal_set,
 )
 
@@ -196,3 +197,13 @@ class TestClosureCheck:
     def test_horizon_precondition(self):
         with pytest.raises(ValueError):
             reversal_closure_check(PeriodicStream("ab"), k=5, horizon=10)
+
+    @pytest.mark.parametrize(
+        "name", ["paperfolding", "fib-bc", "fib-abbab", "quadfold"]
+    )
+    def test_matches_oracle(self, name):
+        stream = resolve_generator(name)
+        text = stream.prefix_text(256)
+        for k in range(1, 7):
+            report = reversal_closure_check(stream, k, 256)
+            assert list(report.witness_missing) == naive_missing_reversals(text, k)

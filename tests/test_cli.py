@@ -143,6 +143,15 @@ def test_revclose_unknown_key_exit_2(capsys, key):
     assert f"revclose got unknown keys ['{key.partition('=')[0]}']" in err
 
 
+@pytest.mark.parametrize(
+    "spec", ["pow(ab", "fix(a->ab,b->a,a", "image(bc, fib", "shift(pow(ab),2"]
+)
+def test_unclosed_spec_exit_2(capsys, spec):
+    code, out, err = run_cli(capsys, "gen", "--gen", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: unknown generator {spec!r}\n")
+
+
 def test_closure_json(capsys):
     code, out, _ = run_cli(
         capsys, "closure", "--gen", "fib-bc", "--k", "2", "--format", "json"

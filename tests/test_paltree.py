@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 
 from palindromics import FibonacciStream, PalTree, pal_set
 
-from conftest import all_words, naive_pal_set, naive_pals_by_first_end
+from conftest import (
+    all_words,
+    naive_last_growth,
+    naive_pal_set,
+    naive_pals_by_first_end,
+)
 
 
 def test_empty_tree():
@@ -55,6 +60,7 @@ def test_extend_chunks_and_pushes_agree(alphabet, max_n):
         for s in all_words(alphabet, n):
             built = _state(PalTree(s))
             assert built[1] == naive_pals_by_first_end(s), s
+            assert built[4] == naive_last_growth(s), s
             for k in range(n + 1):
                 tree = PalTree(s[:k])
                 tree.extend(s[k:])
@@ -118,6 +124,7 @@ def _assert_same_as_fresh(tree, text):
     assert tree.text == text
     assert _state(tree) == _state(PalTree(text))
     assert set(tree.palindromes()) | {""} == naive_pal_set(text)
+    assert tree.last_growth == naive_last_growth(text)
 
 
 @st.composite

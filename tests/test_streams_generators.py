@@ -15,7 +15,6 @@ from palindromics import (
     ReversalClosureStream,
     UnknownGeneratorError,
     paperfolding,
-    parse_generator_spec,
     preset_names,
     resolve_generator,
     shift,
@@ -138,6 +137,17 @@ def test_image_prefixes_match_oracle(ref):
         assert stream.prefix_text(n) == expected[:n], n
 
 
+@pytest.mark.parametrize("ref", ["fib-abbab", "fold-pairswap", "fib-bc"])
+def test_image_reads_only_the_inner_letters_it_needs(ref):
+    # Growth stops within one image of the request: no round maps more
+    # inner letters than the missing letters need.
+    stream = resolve_generator(ref)
+    longest = max(map(len, stream.morphism.images.values()))
+    n = 2**16
+    stream.prefix_text(n)
+    assert len(stream._text) < n + longest
+
+
 class TestImage:
     def test_alphabet_mismatch(self):
         with pytest.raises(ValueError):
@@ -217,28 +227,28 @@ class TestReversalClosure:
 
 class TestSpecParsing:
     def test_pow(self):
-        assert parse_generator_spec("pow(aababb)").prefix_text(12) == "aababbaababb"
+        assert resolve_generator("pow(aababb)").prefix_text(12) == "aababbaababb"
 
     def test_image_named(self):
-        s = parse_generator_spec("image(bc, fib)")
+        s = resolve_generator("image(bc, fib)")
         assert s.prefix_text(29) == GOLDEN_PREFIXES["fib-bc"]
 
     def test_image_inline(self):
-        s = parse_generator_spec("image(a->a,b->abbab, fib)")
+        s = resolve_generator("image(a->a,b->abbab, fib)")
         assert s.prefix_text(33) == GOLDEN_PREFIXES["fib-abbab"]
 
     def test_fix(self):
-        s = parse_generator_spec("fix(a->ab,b->ba, a)")
+        s = resolve_generator("fix(a->ab,b->ba, a)")
         assert s.prefix_text(8) == "abbabaab"
 
     def test_revclose(self):
-        s = parse_generator_spec(
+        s = resolve_generator(
             "revclose(U0=abaabbabaaabbaaba, inserts=[bbaa,aabb], t=rev)"
         )
         assert s.prefix_text(38) == resolve_generator("closed13").prefix_text(38)
 
     def test_shift_nested(self):
-        s = parse_generator_spec("shift(image(bc, fib), 2)")
+        s = resolve_generator("shift(image(bc, fib), 2)")
         assert s.prefix_text(10) == GOLDEN_PREFIXES["fib-bc"][2:12]
 
     def test_unknown_preset(self):
@@ -247,7 +257,7 @@ class TestSpecParsing:
 
     def test_unknown_form(self):
         with pytest.raises(UnknownGeneratorError):
-            parse_generator_spec("spiral(ab)")
+            resolve_generator("spiral(ab)")
 
     def test_preset_listing(self):
         names = preset_names()
