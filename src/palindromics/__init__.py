@@ -22,13 +22,11 @@ from .claims import (
     run_return_family_claim,
 )
 from .generators import (
-    FibonacciStream,
     FixedPointStream,
     ImageStream,
     PeriodicStream,
     ReversalClosureStream,
     UnknownGeneratorError,
-    paperfolding,
     preset_names,
     resolve_generator,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "CompleteReturns",
     "ConstraintSet",
     "FamilyTemplate",
-    "FibonacciStream",
     "FixedPointStream",
     "ImageStream",
     "Morphism",
@@ -85,7 +82,6 @@ __all__ = [
     "manifest",
     "minpal_scan",
     "pal_set",
-    "paperfolding",
     "preset_names",
     "replay_return_witness",
     "resolve_generator",

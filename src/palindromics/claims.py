@@ -26,7 +26,7 @@ from .analysis import (
     reversal_closure_check,
     stabilized_pal_set,
 )
-from .generators import PRESETS, PeriodicStream
+from .generators import resolve_generator
 from .paltree import PalTree
 from .search import (
     ConstraintSet,
@@ -162,10 +162,9 @@ def _pal_count(s: str) -> int:
     return PalTree(s).distinct_palindromes + 1
 
 
-def _leaf_pal_counts(alphabet: str, n: int):
-    """(word, palindrome count with epsilon) for every length-n word, in
-    lexicographic order, read off one prefix-sharing walk."""
-    walk = PalWalk(ConstraintSet(alphabet), n)
+def _leaf_pal_counts(walk: PalWalk):
+    """(word, palindrome count with epsilon) for every leaf of the walk, in
+    lexicographic order; the walk's stats.leaves then counts them."""
     tree = walk.tree
     for w in walk.leaves():
         yield w, tree.distinct_palindromes + 1
@@ -180,7 +179,7 @@ def scan_min_palindromes(
     best = n + 2
     argmin: list[str] = []
     scanned = 0
-    for s, c in _leaf_pal_counts(alphabet, n):
+    for s, c in _leaf_pal_counts(PalWalk(ConstraintSet(alphabet), n)):
         if word_filter is not None and not word_filter(s):
             continue
         scanned += 1
@@ -289,7 +288,8 @@ def verify_exact9() -> ClaimVerdict:
     class_squares = sorted(w * 2 for w in iso_class("aababb", AB))
     exact9 = []
     below9 = []
-    for w, c in _leaf_pal_counts(AB, 12):
+    walk = PalWalk(ConstraintSet(AB), 12)
+    for w, c in _leaf_pal_counts(walk):
         if c == 9:
             exact9.append(w)
         elif c < 9:
@@ -323,7 +323,7 @@ def verify_exact9() -> ClaimVerdict:
             ),
             "extensions": extension_rows,
         },
-        stats={"scanned": 4096},
+        stats={"scanned": walk.stats.leaves},
     )
 
 
@@ -372,7 +372,8 @@ def verify_exact10() -> ClaimVerdict:
     coincidence too.
     """
     classes = ten_palindrome_classes()
-    exact10 = {w for w, c in _leaf_pal_counts(AB, 14) if c == 10}
+    walk = PalWalk(ConstraintSet(AB), 14)
+    exact10 = {w for w, c in _leaf_pal_counts(walk) if c == 10}
     union = set().union(*classes.values())
     problems: list = []
     unclassified = sorted(exact10 - union)
@@ -405,7 +406,7 @@ def verify_exact10() -> ClaimVerdict:
         problems,
         bound={"alphabet": "ab", "length": 14},
         witness={"classes": classes, "exactly_ten_count": len(exact10)},
-        stats={"scanned": 16384},
+        stats={"scanned": walk.stats.leaves},
     )
 
 
@@ -518,7 +519,7 @@ def verify_need_squares() -> ClaimVerdict:
             ],
             "witness_words": sorted(exceptional.values()),
         },
-        stats={"scanned": 4096},
+        stats={"scanned": walk.stats.leaves},
     )
 
 
@@ -541,11 +542,11 @@ def verify_maxpal_bounds() -> ClaimVerdict:
     if not depth.exhausted:
         problems.append({"length_cap_3_search_hit_hard_cap": 64})
 
-    power = pal_set(PeriodicStream("aabbab").prefix_text(600))
+    power = pal_set(resolve_generator("pow:aabbab").prefix_text(600))
     if len(power.longest) != 4:
         problems.append({"aabbab_power_longest": power.longest})
 
-    stab = stabilized_pal_set(PRESETS["maxpal5"][1](), cap=16384)
+    stab = stabilized_pal_set(resolve_generator("maxpal5"), cap=16384)
     if not stab.stable or stab.pal_set != MAXPAL5_PAL_SET or len(stab.longest) != 5:
         problems.append({"maxpal5_set": list(stab.palindromes), "flag": stab.flag})
 
@@ -590,14 +591,13 @@ def verify_closed13() -> ClaimVerdict:
     exactly the fixed 13-element palindrome set, and the stream shows no
     missing reversal for factors up to length 8 within a 4096 horizon.
     """
-    stream_factory = PRESETS["closed13"][1]
-    stream = stream_factory()
+    stream = resolve_generator("closed13")
     problems: list = []
     for n in range(2, 9):
         pals = _pals(stream.term(n))
         if pals != CLOSED13_PAL_SET:
             problems.append({"term": n, "pal_set": sorted(pals)})
-    closure = reversal_closure_check(stream_factory(), k=8, horizon=4096)
+    closure = reversal_closure_check(stream, k=8, horizon=4096)
     if closure.witness_missing:
         problems.append(
             {"missing_reversals": [list(p) for p in closure.witness_missing]}
@@ -766,7 +766,7 @@ def verify_stream_pal_counts() -> ClaimVerdict:
     problems: list = []
     rows = []
     for name, (count, longest_len, exact) in sorted(STREAM_EXPECTATIONS.items()):
-        stab = stabilized_pal_set(PRESETS[name][1](), cap=16384)
+        stab = stabilized_pal_set(resolve_generator(name), cap=16384)
         rows.append(
             {
                 "stream": name,
@@ -820,7 +820,7 @@ def verify_closure_checks() -> ClaimVerdict:
     problems: list = []
     rows = []
     for name, (k, horizon, closed, pair) in sorted(CLOSURE_EXPECTATIONS.items()):
-        report = reversal_closure_check(PRESETS[name][1](), k=k, horizon=horizon)
+        report = reversal_closure_check(resolve_generator(name), k=k, horizon=horizon)
         rows.append(
             {
                 "stream": name,

@@ -1,8 +1,11 @@
 """Constructions of the infinite words the library ships with.
 
 Four generic mechanisms (periodic powers, morphic fixed points, morphic
-images, reversal-closure recursions) plus the Fibonacci concatenation
-recurrence, a registry of named presets, and a one-line textual spec form.
+images, reversal-closure recursions), a one-line textual spec form that
+builds any of them, and a registry of named presets. ``PRESETS`` maps each
+preset name to the spec string it stands for, so a named word is written
+once, in the grammar a user types; an alias such as fib is a preset whose
+reference is another preset's name.
 """
 
 from __future__ import annotations
@@ -165,31 +168,6 @@ class ReversalClosureStream(PrefixStream):
         self._text = self._terms[-1]
 
 
-class FibonacciStream(PrefixStream):
-    """The Fibonacci word as the limit of f(1)=a, f(2)=ab, f(n+1)=f(n)f(n-1).
-
-    The recurrence seeds are f(0)=b, f(1)=a; every term from f(1) on is a
-    prefix of the next.
-    """
-
-    def __init__(self) -> None:
-        super().__init__("ab")
-        self._terms = ["a", "ab"]
-
-    def _grow(self, n: int) -> None:
-        terms = self._terms
-        while len(terms[-1]) < n:
-            terms.append(terms[-1] + terms[-2])
-        self._text = terms[-1]
-
-
-def paperfolding() -> PrefixStream:
-    """Limit of P(0)=a, P(n+1) = P(n) . a . hat(P(n)), where hat reverses and
-    exchanges a with b. The n-th term has length 2**(n+1) - 1.
-    """
-    return ReversalClosureStream("a", ["a"], "revcomp", alphabet="ab")
-
-
 # Named morphisms usable in generator spec strings.
 MORPHISMS: dict[str, str] = {
     "bc": "a->a,b->bc",
@@ -207,46 +185,27 @@ def named_morphism(name: str) -> Morphism:
         ) from None
 
 
-def _preset_factories():
-    return {
-        "fibonacci": (
-            "binary Fibonacci word from the concatenation recurrence",
-            FibonacciStream,
-        ),
-        "fib": ("alias of fibonacci", FibonacciStream),
-        "fib-bc": (
-            "image of the Fibonacci word under b->bc; five palindromes",
-            lambda: ImageStream(named_morphism("bc"), FibonacciStream()),
-        ),
-        "fib-abbab": (
-            "image of the Fibonacci word under b->abbab; eleven palindromes",
-            lambda: ImageStream(named_morphism("abbab"), FibonacciStream()),
-        ),
-        "paperfolding": (
-            "regular paperfolding word (reverse-and-exchange recursion)",
-            paperfolding,
-        ),
-        "fold": ("alias of paperfolding", paperfolding),
-        "fold-pairswap": (
-            "image of the paperfolding word under a->ab, b->ba; seventeen palindromes",
-            lambda: ImageStream(named_morphism("pairswap"), paperfolding()),
-        ),
-        "quadfold": (
-            "four-letter reversal-closure word (U0=ab, insert cd); five palindromes",
-            lambda: ReversalClosureStream("ab", ["cd"], "rev"),
-        ),
-        "maxpal5": (
-            "binary reversal-closure word (U0=aabb, inserts ab/ba) whose longest palindrome has length 5",
-            lambda: ReversalClosureStream("aabb", ["ab", "ba"], "rev"),
-        ),
-        "closed13": (
-            "binary reversal-closure word (U0=abaabbabaaabbaaba, inserts bbaa/aabb) with thirteen palindromes",
-            lambda: ReversalClosureStream("abaabbabaaabbaaba", ["bbaa", "aabb"], "rev"),
-        ),
-    }
-
-
-PRESETS = _preset_factories()
+# preset name -> the generator reference it stands for
+PRESETS: dict[str, str] = {
+    # binary Fibonacci word, the fixed point of a->ab, b->a
+    "fibonacci": "fix(a->ab,b->a,a)",
+    "fib": "fibonacci",
+    # images of the Fibonacci word: five and eleven palindromes
+    "fib-bc": "image(bc, fibonacci)",
+    "fib-abbab": "image(abbab, fibonacci)",
+    # regular paperfolding word, P(n+1) = P(n) . a . hat(P(n)), where hat
+    # reverses and exchanges a with b; the n-th term has length 2**(n+1) - 1
+    "paperfolding": "revclose(U0=a, inserts=[a], t=revcomp, alphabet=ab)",
+    "fold": "paperfolding",
+    # image of the paperfolding word under a->ab, b->ba; seventeen palindromes
+    "fold-pairswap": "image(pairswap, paperfolding)",
+    # four-letter reversal-closure word; five palindromes
+    "quadfold": "revclose(U0=ab, inserts=[cd])",
+    # binary reversal-closure word whose longest palindrome has length 5
+    "maxpal5": "revclose(U0=aabb, inserts=[ab,ba])",
+    # binary reversal-closure word with thirteen palindromes
+    "closed13": "revclose(U0=abaabbabaaabbaaba, inserts=[bbaa,aabb])",
+}
 
 
 def preset_names() -> list[str]:
@@ -289,8 +248,9 @@ REVCLOSE_KEYS = frozenset({"U0", "inserts", "t", "alphabet"})
 def resolve_generator(ref: str) -> PrefixStream:
     """Resolve a generator reference to a fresh stream.
 
-    A reference is tried as, in order: a preset name (see preset_names());
-    pow:WORD, the shorthand for pow(WORD); or a call
+    A reference is tried as, in order: a preset name (see preset_names()),
+    resolved as the reference PRESETS gives it; pow:WORD, the shorthand for
+    pow(WORD); or a call
     pow(WORD) | fix(RULES, SEED) | image(MORPHISM, INNER) | shift(INNER, K)
     | revclose(U0=WORD, inserts=[W1,W2,...], t=rev|revcomp|id, alphabet=LETTERS).
     MORPHISM is a named morphism or inline rules 'a->ab,b->a'; INNER is
@@ -301,7 +261,7 @@ def resolve_generator(ref: str) -> PrefixStream:
     """
     ref = ref.strip()
     if ref in PRESETS:
-        return PRESETS[ref][1]()
+        return resolve_generator(PRESETS[ref])
     if ref.startswith("pow:"):
         return PeriodicStream(ref[4:])
     call = _parse_call(ref)

@@ -124,6 +124,15 @@ def naive_fixed_point(images: dict[str, str], seed: str, n: int) -> str:
     return w[:n]
 
 
+def naive_fibonacci(n: int) -> str:
+    """The first n letters of the Fibonacci word, by the concatenation
+    recurrence f(1) = a, f(2) = ab, f(k+1) = f(k) f(k-1)."""
+    prev, cur = "a", "ab"
+    while len(cur) < n:
+        prev, cur = cur, cur + prev
+    return cur[:n]
+
+
 def all_words(alphabet: str, n: int):
     for tup in product(alphabet, repeat=n):
         yield "".join(tup)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palindromics import FibonacciStream, PalTree, pal_set
+from palindromics import PalTree, pal_set, resolve_generator
 
 from conftest import (
     all_words,
@@ -74,7 +74,7 @@ def test_extend_chunks_and_pushes_agree(alphabet, max_n):
 def test_peak_memory_per_letter():
     # A dict per node costs about 320 bytes a letter on this rich word,
     # whose every letter creates a node; per-letter edge maps about 165.
-    text = FibonacciStream().prefix_text(1 << 16)
+    text = resolve_generator("fibonacci").prefix_text(1 << 16)
     tracemalloc.start()
     try:
         tree = PalTree(text)

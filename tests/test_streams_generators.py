@@ -1,24 +1,24 @@
 """Generators: golden prefixes, recursion terms, stream algebra, spec parsing."""
 
+import hashlib
 import threading
 
 import pytest
 
-from conftest import naive_fixed_point, naive_image
+from conftest import naive_fibonacci, naive_fixed_point, naive_image
 
 from palindromics import (
-    FibonacciStream,
     FixedPointStream,
     ImageStream,
     Morphism,
     PeriodicStream,
     ReversalClosureStream,
     UnknownGeneratorError,
-    paperfolding,
     preset_names,
     resolve_generator,
     shift,
 )
+from palindromics.generators import PRESETS
 
 GOLDEN_PREFIXES = {
     "fibonacci": "abaababaabaababaababaabaab",
@@ -65,6 +65,30 @@ def test_maxpal5_second_term_has_fifteen_palindromes():
     }
 
 
+# SHA-256 of each preset's first 65,536 letters, recorded from the hand-built
+# streams the presets were before they became generator references.
+PRESET_SHA256 = {
+    "closed13": "46911a04bc6279db5274d9f3bf05f4730d1c59b6a72e103ba85b0b7f265b1d27",
+    "fib": "4af2c196f1e5db0a718cbdab891b45d4990d2bf040d84b0ab63e09a23721dd95",
+    "fib-abbab": "9f6b0a8f168e2601fc9d0372af51aedf525c8dbaf4d760613b9c93db37301f4a",
+    "fib-bc": "0c1feca59e4e90e73ea44d118fa9864d33c1061da82ec2ed950b5aeb86dfabac",
+    "fibonacci": "4af2c196f1e5db0a718cbdab891b45d4990d2bf040d84b0ab63e09a23721dd95",
+    "fold": "ca75246a7b44626f458f117061b958987cea928c76e8ce2af6fbc1aeb1877882",
+    "fold-pairswap": "dac5ae386ae45429a78be483a86a127d75240be80a25b6df650170dcf7aa9bbb",
+    "maxpal5": "7a81de3fdc7b557309a8f8346e93a382ac39c5b35bb0a91db4eaf038f9ecabf4",
+    "paperfolding": "ca75246a7b44626f458f117061b958987cea928c76e8ce2af6fbc1aeb1877882",
+    "quadfold": "43512ae2282f432794f7f8a46b0e4642fc4f523b3b8d0f7cbcb495af6da06558",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_prefix_is_pinned(name):
+    # A preset added without a pin, or a pin left for a removed one, fails.
+    assert set(PRESET_SHA256) == set(PRESETS)
+    text = resolve_generator(name).prefix_text(1 << 16)
+    assert hashlib.sha256(text.encode()).hexdigest() == PRESET_SHA256[name]
+
+
 class TestPrefixMonotonicity:
     @pytest.mark.parametrize(
         "name",
@@ -103,8 +127,10 @@ class TestFixedPoint:
             assert m.apply(prefix).startswith(prefix)
 
     def test_agrees_with_fibonacci_recurrence(self):
+        expected = naive_fibonacci(500)
         morphic = FixedPointStream(Morphism.parse("a->ab, b->a"), "a")
-        assert morphic.prefix_text(500) == FibonacciStream().prefix_text(500)
+        assert morphic.prefix_text(500) == expected
+        assert resolve_generator("fibonacci").prefix_text(500) == expected
 
 
 # name -> (images, seed) of fixed points, from fast- to slow-growing.
@@ -160,17 +186,17 @@ class TestImage:
 
 class TestPaperfolding:
     def test_first_terms(self):
-        stream = paperfolding()
+        stream = resolve_generator("paperfolding")
         assert stream.term(1) == "aab"
         assert stream.term(2) == "aabaabb"
 
     def test_term_lengths(self):
-        stream = paperfolding()
+        stream = resolve_generator("paperfolding")
         for n in range(13):
             assert len(stream.term(n)) == 2 ** (n + 1) - 1
 
     def test_terms_are_prefixes(self):
-        stream = paperfolding()
+        stream = resolve_generator("paperfolding")
         for n in range(10):
             assert stream.term(n + 1).startswith(stream.term(n))
 
@@ -193,11 +219,11 @@ class TestShift:
         assert shift(s, 0) is s
 
     def test_fibonacci_shift(self):
-        assert shift(FibonacciStream(), 1).prefix_text(5) == "baaba"
+        assert shift(resolve_generator("fibonacci"), 1).prefix_text(5) == "baaba"
 
     def test_nested_shifts_flatten(self):
-        s = shift(shift(FibonacciStream(), 2), 3)
-        assert s.prefix_text(10) == FibonacciStream().prefix_text(15)[5:]
+        s = shift(shift(resolve_generator("fibonacci"), 2), 3)
+        assert s.prefix_text(10) == resolve_generator("fibonacci").prefix_text(15)[5:]
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
