@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from .paltree import PalTree
 from .streams import PrefixStream
-from .words import factor_strings
 
 
 def _sorted_pals(pals) -> tuple[str, ...]:
@@ -206,7 +205,11 @@ class ClosureReport:
 def reversal_closure_check(
     s: PrefixStream, k: int, horizon: int = 4096
 ) -> ClosureReport:
-    """Search the reversal of every short factor of the first half window."""
+    """Search the reversal of every short factor of the first half window.
+
+    The factors are gathered one length at a time, shortest first, so the
+    window holds the factors of a single length at once.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     if horizon < 4 * k:
@@ -214,15 +217,13 @@ def reversal_closure_check(
     full = s.prefix_text(horizon)
     half = full[: horizon // 2]
     missing = []
-    for u in sorted(factor_strings(half, k), key=lambda f: (len(f), f)):
-        if u[::-1] not in full:
-            missing.append((u, u[::-1]))
-    closed_up_to = k
-    for u, _ in missing:
-        closed_up_to = min(closed_up_to, len(u) - 1)
+    for n in range(1, k + 1):
+        for u in sorted({half[i : i + n] for i in range(len(half) - n + 1)}):
+            if u[::-1] not in full:
+                missing.append((u, u[::-1]))
     return ClosureReport(
         k=k,
         horizon=horizon,
         witness_missing=tuple(missing),
-        closed_up_to=closed_up_to,
+        closed_up_to=len(missing[0][0]) - 1 if missing else k,
     )

@@ -256,8 +256,9 @@ def resolve_generator(ref: str) -> PrefixStream:
     MORPHISM is a named morphism or inline rules 'a->ab,b->a'; INNER is
     itself a reference, resolved by this same function. In revclose, t
     defaults to rev and alphabet to the letters of U0 and the inserts; any
-    other key is an error. Anything else, an unclosed call included, raises
-    UnknownGeneratorError.
+    other key, or a key given twice, is an error, and so is a fix whose
+    last argument is a rule rather than a seed. Anything else, an unclosed
+    call included, raises UnknownGeneratorError.
     """
     ref = ref.strip()
     if ref in PRESETS:
@@ -273,7 +274,7 @@ def resolve_generator(ref: str) -> PrefixStream:
             raise UnknownGeneratorError("pow takes exactly one word argument")
         return PeriodicStream(args[0])
     if head == "fix":
-        if len(args) < 2:
+        if len(args) < 2 or "->" in args[-1]:
             raise UnknownGeneratorError("fix takes morphism rules and a seed")
         seed = args[-1]
         return FixedPointStream(_morphism_from_token(",".join(args[:-1])), seed)
@@ -292,7 +293,10 @@ def resolve_generator(ref: str) -> PrefixStream:
             key, sep, value = arg.partition("=")
             if not sep:
                 raise UnknownGeneratorError(f"revclose expects key=value, got {arg!r}")
-            kwargs[key.strip()] = value.strip()
+            key = key.strip()
+            if key in kwargs:
+                raise UnknownGeneratorError(f"revclose repeats key {key!r}")
+            kwargs[key] = value.strip()
         unknown = set(kwargs) - REVCLOSE_KEYS
         if unknown:
             raise UnknownGeneratorError(

@@ -3,15 +3,18 @@
 All predicates used for pruning are prefix-closed: a forbidden factor, an
 exhausted palindrome budget or an over-long palindrome can never disappear by
 appending letters. Required factors are the one non-prefix-closed constraint
-and are treated as a condition that must hold by the time evidence is
-collected, not as a pruning rule.
+and are checked only on the words evidence is read from: the return scan
+reads complete first returns off the walk's maximal words, those the walk
+does not extend, with the same complete_first_returns that replays a
+witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import chain, product
 
+from .analysis import complete_first_returns, pal_set
 from .paltree import PalTree
 from .words import SYMBOLS, canonical_form
 
@@ -81,15 +84,11 @@ class ConstraintSet:
         for f in self.forbidden_factors:
             if f in s:
                 return False
-        pals = {""}
-        longest = 0
-        tree = PalTree(s)
-        for p in tree.palindromes():
-            pals.add(p)
-            longest = max(longest, len(p))
-        if self.pal_length_cap is not None and longest > self.pal_length_cap:
+        report = pal_set(s)
+        cap, budget = self.pal_length_cap, self.pal_budget
+        if cap is not None and len(report.longest) > cap:
             return False
-        if self.pal_budget is not None and self.charged_count(pals) > self.pal_budget:
+        if budget is not None and self.charged_count(report.pal_set) > budget:
             return False
         if check_required:
             for r in self.required_factors:
@@ -249,8 +248,6 @@ class PalWalk:
 class ReturnScan:
     """Outcome of a bounded complete-first-return enumeration."""
 
-    anchor: str
-    max_len: int
     returns: dict[str, str]  # return word -> example host word
     stats: SearchStats = field(compare=False, default_factory=SearchStats)
 
@@ -261,43 +258,27 @@ def scan_complete_returns(
     """Collect every complete first return to the anchor that appears in any
     word of length <= max_len satisfying the constraints.
 
-    A return counts once the host branch has produced all required factors
-    (before or after the return inside the window); returns seen earlier on
-    the branch are kept pending and flushed at that point. A factor missing
-    from a word can only show up in a one-letter extension as its suffix, so
-    each step tests the missing factors against the suffix alone.
+    Returns are read only at the walk's maximal words: a visited word is
+    maximal when the next word the walk yields is not deeper, or when the
+    walk ends. A maximal word that holds every required factor gives each
+    of its complete_first_returns, with itself as host; the first host
+    wins. The set equals the one over all visited words: every visited
+    word extends to a maximal one, a required factor stays in every
+    extension, and appending letters only adds anchor occurrences after
+    the last, so a word's returns are also those of its extensions. A host
+    is therefore the first maximal word that holds the return and every
+    required factor.
     """
     walk = PalWalk(constraints, max_len)
+    required = constraints.required_factors
     found: dict[str, str] = {}
-    # Per depth: required factors still missing, start of the last anchor
-    # occurrence (-1 for none), returns waiting for the required factors.
-    missing = [tuple(sorted(constraints.required_factors))] * (max_len + 1)
-    last = [-1] * (max_len + 1)
-    pending: list[tuple[str, ...]] = [()] * (max_len + 1)
-    for depth, t in walk:
-        if not depth:
-            continue
-        t_missing = missing[depth - 1]
-        if t_missing:
-            t_missing = tuple(r for r in t_missing if not t.endswith(r))
-        t_last = last[depth - 1]
-        t_pending = pending[depth - 1]
-        if t.endswith(anchor):
-            if t_last >= 0:
-                ret = t[t_last:]
-                if t_missing:
-                    t_pending += (ret,)
-                else:
-                    found.setdefault(ret, t)
-            t_last = depth - len(anchor)
-        if t_pending and not t_missing:
-            for ret in t_pending:
-                found.setdefault(ret, t)
-            t_pending = ()
-        missing[depth] = t_missing
-        last[depth] = t_last
-        pending[depth] = t_pending
-    return ReturnScan(anchor=anchor, max_len=max_len, returns=found, stats=walk.stats)
+    prev_depth, prev = -1, ""
+    for depth, word in chain(walk, [(-1, "")]):
+        if depth <= prev_depth and all(r in prev for r in required):
+            for ret in complete_first_returns(prev, anchor).returns:
+                found.setdefault(ret, prev)
+        prev_depth, prev = depth, word
+    return ReturnScan(returns=found, stats=walk.stats)
 
 
 @dataclass(frozen=True)

@@ -70,16 +70,6 @@ def least_period(s: str) -> int:
     return n - border[n - 1]
 
 
-def factor_strings(s: str, max_len: int) -> set[str]:
-    """Distinct non-empty factors of s up to length max_len."""
-    out: set[str] = set()
-    n = len(s)
-    for length in range(1, min(max_len, n) + 1):
-        for i in range(n - length + 1):
-            out.add(s[i : i + length])
-    return out
-
-
 def _renaming(s: str) -> str:
     # Letters relabelled a, b, c, ... in order of first occurrence.
     table: dict[str, str] = {}

@@ -1,5 +1,7 @@
 """Reports, richness, first returns, stabilization and closure checks."""
 
+import tracemalloc
+
 import pytest
 
 from palindromics import (
@@ -207,3 +209,17 @@ class TestClosureCheck:
         for k in range(1, 7):
             report = reversal_closure_check(stream, k, 256)
             assert list(report.witness_missing) == naive_missing_reversals(text, k)
+
+    def test_peak_memory_holds_one_factor_length(self):
+        # All 200 factor lengths of the half window held at once peak at
+        # about 7.4 MB; one length at a time, well under 0.1 MB.
+        stream = resolve_generator("fibonacci")
+        stream.prefix_text(1024)
+        tracemalloc.start()
+        try:
+            report = reversal_closure_check(stream, k=200, horizon=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.closed
+        assert peak < 1 << 20, peak

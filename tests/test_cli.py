@@ -152,6 +152,22 @@ def test_unclosed_spec_exit_2(capsys, spec):
     assert err.startswith(f"error: unknown generator {spec!r}\n")
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("revclose(U0=ab,U0=ba,inserts=[c])", "revclose repeats key 'U0'"),
+        ("revclose(U0=ab,inserts=[c],inserts=[d])", "revclose repeats key 'inserts'"),
+        ("fix(a->ab,b->a)", "fix takes morphism rules and a seed"),
+    ],
+)
+def test_malformed_spec_exit_2(capsys, spec, message):
+    code, out, err = run_cli(capsys, "gen", "--gen", spec)
+    assert (code, out) == (2, "")
+    first, presets, rest = err.split("\n", 2)
+    assert first == f"error: {message}"
+    assert presets.startswith("presets: ") and rest == ""
+
+
 def test_closure_json(capsys):
     code, out, _ = run_cli(
         capsys, "closure", "--gen", "fib-bc", "--k", "2", "--format", "json"

@@ -199,7 +199,7 @@ class TestReturnScan:
 
     def test_required_factor_after_return_still_counts(self):
         # The anchor pair appears before the required factor does; the return
-        # is held pending and flushed once the requirement is met.
+        # still counts, with a host that holds the requirement.
         c = ConstraintSet(AB, required_factors=frozenset({"bbbb"}))
         scan = scan_complete_returns(c, "aa", max_len=10)
         assert "aaa" in scan.returns
@@ -211,21 +211,25 @@ class TestReturnScan:
         assert "ababa" in scan.returns  # overlapping pair of aba occurrences
 
 
+def _naive_passes(w, forbidden=(), budget=None, cap=None, assumed=()):
+    """Whether w meets the prefix-closed constraints, checked whole-word
+    with the naive oracles only."""
+    if any(f in w for f in forbidden):
+        return False
+    pals = naive_pal_set(w)
+    if cap is not None and max(map(len, pals)) > cap:
+        return False
+    return budget is None or len(set(assumed) | {""} | pals) <= budget
+
+
 def _oracle_hosts(alphabet, max_len, forbidden=(), required=(), budget=None,
                   cap=None, assumed=()):
-    """Every word of length <= max_len meeting the constraints, checked
-    whole-word with the naive oracles only."""
-    charged_base = set(assumed) | {""}
+    """Every word of length <= max_len meeting the constraints."""
     for n in range(max_len + 1):
         for w in all_words(alphabet, n):
-            if any(f in w for f in forbidden):
-                continue
-            pals = naive_pal_set(w)
-            if cap is not None and max(map(len, pals)) > cap:
-                continue
-            if budget is not None and len(charged_base | pals) > budget:
-                continue
-            if all(r in w for r in required):
+            if _naive_passes(w, forbidden, budget, cap, assumed) and all(
+                r in w for r in required
+            ):
                 yield w
 
 
@@ -274,6 +278,29 @@ def test_return_scan_matches_naive_oracle(case):
     for ret, host in scan.returns.items():
         assert host in host_set
         assert ret in naive_complete_first_returns(host, anchor)
+
+
+@pytest.mark.parametrize("case", sorted(RETURN_CASES))
+def test_every_host_is_maximal(case):
+    # A host holds every required factor and has no one-letter extension
+    # within the bound that passes the constraints.
+    kwargs, anchor, max_len = RETURN_CASES[case]
+    alphabet = "abc" if case == "ternary" else "ab"
+    scan = scan_complete_returns(
+        ConstraintSet(alphabet, **kwargs), anchor, max_len
+    )
+    prefix_closed = dict(
+        forbidden=kwargs.get("forbidden_factors", ()),
+        budget=kwargs.get("pal_budget"),
+        cap=kwargs.get("pal_length_cap"),
+        assumed=kwargs.get("assumed_palindromes", ()),
+    )
+    assert scan.returns, case
+    for ret, host in scan.returns.items():
+        assert all(r in host for r in kwargs.get("required_factors", ())), ret
+        assert len(host) == max_len or not any(
+            _naive_passes(host + ch, **prefix_closed) for ch in alphabet
+        ), (ret, host)
 
 
 @pytest.mark.parametrize("case", sorted(RETURN_CASES))

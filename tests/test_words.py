@@ -13,7 +13,6 @@ from palindromics import (
     iso_class,
     least_period,
 )
-from palindromics.words import factor_strings
 
 from conftest import all_words, naive_least_period, naive_renaming
 
@@ -74,24 +73,6 @@ class TestLeastPeriod:
         for n in range(1, 15):
             for s in all_words("ab", n):
                 assert least_period(s) == naive_least_period(s)
-
-
-class TestFactors:
-    def test_direct(self):
-        assert factor_strings("aab", 2) == {"a", "b", "aa", "ab"}
-
-    def test_empty_factor(self):
-        assert factor_strings("abc", 0) == set()
-
-    def test_derived_scan(self):
-        assert {f for f in factor_strings("aababb", 4) if len(f) == 4} == {
-            "aaba",
-            "abab",
-            "babb",
-        }
-
-    def test_too_long(self):
-        assert factor_strings("ab", 3) == {"a", "b", "ab"}
 
 
 class TestCanonicalClass:
