@@ -98,7 +98,7 @@ class ImageStream(PrefixStream):
         while total < n:
             # No image is empty, so each round adds at least one letter.
             take = (n - total + longest - 1) // longest
-            chunk = self.inner.prefix_text(self._consumed + take)[self._consumed :]
+            chunk = self.inner.read(self._consumed, self._consumed + take)
             self._consumed += len(chunk)
             chunk = "".join(map(images.__getitem__, chunk))
             parts.append(chunk)
@@ -284,9 +284,14 @@ def resolve_generator(ref: str) -> PrefixStream:
         inner = resolve_generator(args[-1])
         return ImageStream(_morphism_from_token(",".join(args[:-1])), inner)
     if head == "shift":
-        if len(args) != 2:
-            raise UnknownGeneratorError("shift takes an inner generator and an offset")
-        return shift(resolve_generator(args[0]), int(args[1]))
+        try:
+            inner, offset = args
+            k = int(offset)
+        except ValueError:  # not two arguments, or an offset that is no integer
+            raise UnknownGeneratorError(
+                "shift takes an inner generator and an offset"
+            ) from None
+        return shift(resolve_generator(inner), k)
     if head == "revclose":
         kwargs: dict[str, str] = {}
         for arg in args:

@@ -14,15 +14,25 @@ push(ch) and pop() let a depth-first search grow and shrink the text letter
 by letter (the undoable eertree of Rubinchik & Shur, "EERTREE",
 arXiv:1506.04862). push() writes out the same step for one letter and also
 records the suffix it started from and the node it gave a child, so pop()
-deletes that edge without climbing again; extend() pays nothing for undo.
+clears that edge without climbing again; extend() pays nothing for undo.
 A push() routed through extend() made depth-48 returns scans a fifth slower.
 
-Edges are stored as one dict per letter, mapping a node to its child by that
-letter, instead of one dict per node. Every node but the roots has exactly
-one incoming edge, so an edge costs one dict entry and a node without
-children no dict at all. On the Fibonacci word, where every letter creates
-a node, a tree takes about 165 bytes per node under tracemalloc, against
-322 with a dict per node.
+Edges are stored as one list per letter, indexed by node: _to[ch][v] is
+the child of v by ch, and 0 means no child. 0 can stand for "none" because
+node 0, the length -1 root, is never a child. All the lists have one
+length, kept above the node count: a letter's list is made, all 0, the
+first time the letter comes, and when the nodes reach that length every
+list grows by a quarter. pop() clears the edge and leaves the lengths.
+Appending a 0 to every list per node instead made 13-letter trees a sixth
+slower to build and push()/pop() a fifth slower. The first ends sit in an
+array("q"), 8 bytes a node with no int object; lengths and suffix links,
+read on every letter, stay lists, as reading an array makes a new int
+object on each access. On the Fibonacci word, where every letter creates
+a node, a tree takes about 110 bytes per node under tracemalloc, against
+165 with a dict of edges per letter and 322 with a dict per node. The
+lists cost 8k to 10k bytes a node for k letters, whatever the node's
+children, so at k = 8 they outgrow a dict entry per edge (about 48
+bytes); the long rich texts here use 2 to 4 letters.
 
 A node is created at the first position where its palindrome ends, and at
 most one node per position, so creation order is the order of first
@@ -33,7 +43,10 @@ the first end of the newest node, so push() and pop() need not track it.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from array import array
+
+
+_ROOT_ENDS = array("q", [0, 0])  # copied per tree, faster than building it
 
 
 class PalTree:
@@ -42,8 +55,8 @@ class PalTree:
     Node 0 is the length -1 root, node 1 the length 0 (empty) root. Each
     real node stores its palindrome length, suffix link and the prefix
     length at its first occurrence (its first end; 0 for the roots);
-    ``_to[ch][v]`` is the child of v by ch; ``_undo`` holds one
-    (suffix, parent) record per push().
+    ``_to[ch][v]`` is the child of v by ch, or 0 for none, in one list per
+    letter seen; ``_undo`` holds one (suffix, parent) record per push().
     """
 
     __slots__ = (
@@ -51,6 +64,7 @@ class PalTree:
         "_len",
         "_link",
         "_to",
+        "_cap",
         "_first_end",
         "_suffix",
         "_undo",
@@ -63,8 +77,9 @@ class PalTree:
         self._s: list[str] = [""]
         self._len = [-1, 0]
         self._link = [0, 0]
-        self._to: defaultdict[str, dict[int, int]] = defaultdict(dict)
-        self._first_end = [0, 0]
+        self._to: dict[str, list[int]] = {}
+        self._cap = 16  # length of every list in _to, more than node_count
+        self._first_end = _ROOT_ENDS[:]
         self._suffix = 1  # longest palindromic suffix of the processed prefix
         # parent is the node a push gave a child, or -1 if it created none.
         self._undo: list[tuple[int, int]] = []
@@ -75,6 +90,7 @@ class PalTree:
         s, lens, links, first_end, to = (
             self._s, self._len, self._link, self._first_end, self._to
         )
+        cap = self._cap
         start = len(s) - 1
         s.extend(text)
         v = self._suffix
@@ -83,9 +99,11 @@ class PalTree:
         for i, ch in enumerate(text, start):
             while s[i - lens[v]] != ch:
                 v = links[v]
-            edges = to[ch]
-            nxt = edges.get(v)
-            if nxt is None:
+            edges = to.get(ch)
+            if edges is None:
+                edges = to[ch] = [0] * cap
+            nxt = edges[v]
+            if not nxt:
                 n = lens[v] + 2
                 if n == 1:
                     link = 1
@@ -98,6 +116,8 @@ class PalTree:
                 lens.append(n)
                 links.append(link)
                 first_end.append(i + 1)
+                if nxt + 1 == cap:
+                    cap = self._widen()
             v = nxt
         self._suffix = v
 
@@ -109,15 +129,17 @@ class PalTree:
         Pushes and pops nest like a stack; an extend() in between is not
         undoable and must not be followed by a pop() of an earlier push.
         """
-        s, lens, links = self._s, self._len, self._link
+        s, lens, links, to = self._s, self._len, self._link, self._to
         i = len(s) - 1
         s.append(ch)
         suffix = v = self._suffix
         while s[i - lens[v]] != ch:
             v = links[v]
-        edges = self._to[ch]
-        nxt = edges.get(v)
-        if nxt is not None:
+        edges = to.get(ch)
+        if edges is None:
+            edges = to[ch] = [0] * self._cap
+        nxt = edges[v]
+        if nxt:
             self._undo.append((suffix, -1))
             self._suffix = nxt
             return 0
@@ -134,14 +156,26 @@ class PalTree:
         lens.append(n)
         links.append(link)
         self._first_end.append(i + 1)
+        if len(lens) == self._cap:
+            self._widen()
         return n
+
+    def _widen(self) -> int:
+        """Lengthen every child list by a quarter, plus 8, and return the
+        new length. A step this large outgrows list's own over-allocation,
+        so the lists carry no slack beyond their length."""
+        more = [0] * ((self._cap >> 2) + 8)
+        for table in self._to.values():
+            table += more
+        self._cap += len(more)
+        return self._cap
 
     def pop(self) -> None:
         """Undo the latest push(), restoring the tree it started from."""
         self._suffix, parent = self._undo.pop()
         ch = self._s.pop()
         if parent >= 0:
-            del self._to[ch][parent]
+            self._to[ch][parent] = 0
             self._len.pop()
             self._link.pop()
             self._first_end.pop()

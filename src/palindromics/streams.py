@@ -8,10 +8,12 @@ import threading
 class PrefixStream:
     """Base class for lazy producers of prefixes of one infinite word.
 
-    prefix_text(n) returns exactly the first n letters; successive requests
-    are prefixes of one another because materialization only ever appends.
-    Materialization is serialized behind a lock, so concurrent prefix
-    requests on a shared stream are safe and consistent.
+    read(i, j) returns letters i to j - 1 and prefix_text(n) the first n;
+    successive requests agree because materialization only ever appends.
+    Materialization is serialized behind a lock, so concurrent requests on
+    a shared stream are safe and consistent. A stream built on another
+    reads the inner letters it has not used yet with read(), so a round
+    copies only those letters, not the inner prefix from letter 0.
     """
 
     def __init__(self, alphabet: str) -> None:
@@ -23,18 +25,24 @@ class PrefixStream:
         """Extend self._text to length >= n. Implementations append only."""
         raise NotImplementedError
 
-    def prefix_text(self, n: int) -> str:
-        if n < 0:
-            raise ValueError("prefix length must be non-negative")
+    def read(self, i: int, j: int) -> str:
+        """Letters i to j - 1 of the word, for 0 <= i <= j."""
+        if not 0 <= i <= j:
+            raise ValueError(f"letter range must have 0 <= i <= j, got [{i}, {j})")
         with self._lock:
-            if len(self._text) < n:
+            if len(self._text) < j:
                 before = self._text
-                self._grow(n)
-                if not self._text.startswith(before) or len(self._text) < n:
+                self._grow(j)
+                if not self._text.startswith(before) or len(self._text) < j:
                     raise RuntimeError(
                         f"{type(self).__name__} violated append-only materialization"
                     )
-            return self._text[:n]
+            return self._text[i:j]
+
+    def prefix_text(self, n: int) -> str:
+        if n < 0:
+            raise ValueError("prefix length must be non-negative")
+        return self.read(0, n)
 
 
 class ShiftedStream(PrefixStream):
@@ -48,7 +56,7 @@ class ShiftedStream(PrefixStream):
         self.k = k
 
     def _grow(self, n: int) -> None:
-        self._text = self.inner.prefix_text(n + self.k)[self.k :]
+        self._text += self.inner.read(len(self._text) + self.k, n + self.k)
 
 
 def shift(s: PrefixStream, k: int) -> PrefixStream:

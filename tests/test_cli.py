@@ -158,6 +158,8 @@ def test_unclosed_spec_exit_2(capsys, spec):
         ("revclose(U0=ab,U0=ba,inserts=[c])", "revclose repeats key 'U0'"),
         ("revclose(U0=ab,inserts=[c],inserts=[d])", "revclose repeats key 'inserts'"),
         ("fix(a->ab,b->a)", "fix takes morphism rules and a seed"),
+        ("shift(fib,x)", "shift takes an inner generator and an offset"),
+        ("shift(fib,1.5)", "shift takes an inner generator and an offset"),
     ],
 )
 def test_malformed_spec_exit_2(capsys, spec, message):

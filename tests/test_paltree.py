@@ -1,5 +1,6 @@
 """Palindromic tree behaviour against the naive enumeration oracle."""
 
+import random
 import tracemalloc
 
 import pytest
@@ -71,9 +72,46 @@ def test_extend_chunks_and_pushes_agree(alphabet, max_n):
             assert _state(pushed) == built, s
 
 
+def _seeded_words(alphabet, count, max_len, seed):
+    rng = random.Random(seed)
+    return [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(1, max_len)))
+        for _ in range(count)
+    ]
+
+
+EIGHT_LETTER_WORDS = [
+    "abcdefgh",
+    "hgfedcbaabcdefgh",
+    "abacabadabacabaeabacabadabacabafabacabadabacabaeabacabadabacabagh",
+    "aabbccddeeffgghhggffeeddccbbaa",
+] + _seeded_words("abcdefgh", 40, 90, seed=8)
+
+
+def test_extend_and_push_agree_on_eight_letters():
+    # Each letter's child list is made when the letter first comes, and
+    # the lists of all letters lengthen together as the nodes reach them.
+    for s in EIGHT_LETTER_WORDS:
+        built = _state(PalTree(s))
+        assert built[1] == naive_pals_by_first_end(s), s
+        assert built[4] == naive_last_growth(s), s
+        for k in range(0, len(s) + 1, 7):
+            tree = PalTree(s[:k])
+            tree.extend(s[k:])
+            assert _state(tree) == built, (s, k)
+        pushed = PalTree()
+        for ch in s:
+            pushed.push(ch)
+        assert _state(pushed) == built, s
+        for k in range(len(s) - 1, -1, -1):
+            pushed.pop()
+            assert _state(pushed) == _state(PalTree(s[:k])), (s, k)
+
+
 def test_peak_memory_per_letter():
     # A dict per node costs about 320 bytes a letter on this rich word,
-    # whose every letter creates a node; per-letter edge maps about 165.
+    # whose every letter creates a node; a dict of edges per letter about
+    # 165; a list of children per letter, indexed by node, about 110.
     text = resolve_generator("fibonacci").prefix_text(1 << 16)
     tracemalloc.start()
     try:
@@ -82,7 +120,7 @@ def test_peak_memory_per_letter():
     finally:
         tracemalloc.stop()
     assert tree.node_count == len(text) + 2
-    assert peak <= 200 * len(text), peak / len(text)
+    assert peak <= 120 * len(text), peak / len(text)
 
 
 def test_node_count_matches_pal_set():
@@ -181,3 +219,22 @@ def test_push_pop_on_a_base_grown_by_extend(data):
             tree.pop()
             text = text[:-1]
             _assert_same_as_fresh(tree, text)
+
+
+def test_push_of_a_letter_the_base_never_saw():
+    # The base has child lists for a and b only; push makes the list for c,
+    # and pop must leave a tree that grows on like a fresh one.
+    base = "abaab"
+    tree = PalTree(base)
+    text = base
+    for ch in "cacbc":
+        text += ch
+        new = naive_pal_set(text) - naive_pal_set(text[:-1])
+        assert tree.push(ch) == max(map(len, new), default=0)
+        _assert_same_as_fresh(tree, text)
+    while text != base:
+        tree.pop()
+        text = text[:-1]
+        _assert_same_as_fresh(tree, text)
+    tree.extend("cbcabc")
+    _assert_same_as_fresh(tree, base + "cbcabc")

@@ -163,6 +163,26 @@ def test_image_prefixes_match_oracle(ref):
         assert stream.prefix_text(n) == expected[:n], n
 
 
+def test_read_is_a_slice_of_the_prefix():
+    stream = resolve_generator("fib-abbab")
+    full = resolve_generator("fib-abbab").prefix_text(3000)
+    for i, j in [(0, 0), (5, 5), (3, 10), (100, 2500), (2999, 3000), (0, 3000)]:
+        assert stream.read(i, j) == full[i:j], (i, j)
+    for i, j in [(4, 3), (-1, 3)]:
+        with pytest.raises(ValueError, match="0 <= i <= j"):
+            stream.read(i, j)
+
+
+def test_shifted_image_prefixes_match_oracle():
+    # The shifted stream reads its image stream from letter 5 on, and the
+    # image stream reads the Fibonacci word a range at a time.
+    stream = resolve_generator("shift(fib-bc,5)")
+    fibonacci = naive_fixed_point(FIXED_POINTS["fibonacci"][0], "a", max(REQUESTS) + 5)
+    expected = naive_image({"a": "a", "b": "bc"}, fibonacci)[5:]
+    for n in REQUESTS:
+        assert stream.prefix_text(n) == expected[:n], n
+
+
 @pytest.mark.parametrize("ref", ["fib-abbab", "fold-pairswap", "fib-bc"])
 def test_image_reads_only_the_inner_letters_it_needs(ref):
     # Growth stops within one image of the request: no round maps more
