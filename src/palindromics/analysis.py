@@ -2,45 +2,82 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 from .paltree import PalTree
 from .streams import PrefixStream
 
 
-def _sorted_pals(pals) -> tuple[str, ...]:
-    # Canonical report order: by length, then lexicographic; "" (epsilon) first.
-    # pals must be distinct; the tree lists each palindrome once.
-    return tuple(sorted(pals, key=lambda p: (len(p), p)))
+@dataclass(frozen=True)
+class _TreeListing:
+    """The palindromes of a report, kept as the tree that found them.
+
+    Nothing holds the sorted list: iter_palindromes slices it from the tree
+    one length at a time, so a report costs its tree, not its output, which
+    is quadratic in the text on rich words.
+    """
+
+    tree: PalTree = field(repr=False, compare=False)
+
+    def iter_palindromes(self) -> Iterator[str]:
+        """The report order: "" first, then by length, then lexicographic.
+
+        Only the palindromes of one length are sliced and sorted at a time.
+        """
+        yield ""
+        text = self.tree.text
+        for n, ends in self.tree.ends_by_length():
+            yield from sorted([text[end - n : end] for end in ends])
+
+    @property
+    def palindromes(self) -> tuple[str, ...]:
+        """Every palindrome in report order, built on each read."""
+        return tuple(self.iter_palindromes())
+
+    @property
+    def pal_set(self) -> frozenset[str]:
+        return frozenset(("", *self.tree.palindromes()))
+
+
+def _lengths(tree: PalTree) -> tuple[dict[int, int], int, list[int]]:
+    """The per-length counts of tree's palindromes, "" included, and the
+    maximal length with the first ends of its palindromes (0 and [0] when
+    the tree has none)."""
+    per_length, n, ends = {0: 1}, 0, [0]
+    for n, ends in tree.ends_by_length():
+        per_length[n] = len(ends)
+    return per_length, n, ends
 
 
 @dataclass(frozen=True)
-class PalReport:
+class PalReport(_TreeListing):
     """Distilled palindromic content of one finite word.
 
     The palindrome list always contains the empty word, is sorted by length
-    then lexicographically, and is byte-stable for golden tests. The
+    then lexicographically, and is byte-stable for golden tests; it is read
+    from the tree on demand (iter_palindromes, palindromes), never stored.
+    count, per_length and longest are computed when the report is made. The
     richness defect is (|w| + 1) - count and is never negative.
     """
 
     word_length: int
-    palindromes: tuple[str, ...]
     count: int
     longest: str
     per_length: dict[int, int]
-    richness_defect: int
 
     @property
-    def pal_set(self) -> frozenset[str]:
-        return frozenset(self.palindromes)
+    def richness_defect(self) -> int:
+        return self.word_length + 1 - self.count
 
     def to_record(self) -> dict:
+        """The JSON record; its palindromes are an iterator in report order."""
         return {
             "word_length": self.word_length,
             "count": self.count,
             "longest": self.longest,
             "per_length": {str(k): v for k, v in sorted(self.per_length.items())},
-            "palindromes": list(self.palindromes),
+            "palindromes": self.iter_palindromes(),
         }
 
 
@@ -51,18 +88,14 @@ def pal_set(s: str) -> PalReport:
     lists palindromes in order of first occurrence, so the longest reported
     is the earliest to occur among those of maximal length.
     """
-    found = PalTree(s).palindromes()
-    pals = _sorted_pals(("", *found))
-    per_length: dict[int, int] = {}
-    for p in pals:
-        per_length[len(p)] = per_length.get(len(p), 0) + 1
+    tree = PalTree(s)
+    per_length, n, ends = _lengths(tree)
     return PalReport(
+        tree=tree,
         word_length=len(s),
-        palindromes=pals,
-        count=len(pals),
-        longest=max(found, key=len, default=""),
+        count=tree.distinct_palindromes + 1,
+        longest=s[ends[0] - n : ends[0]],
         per_length=per_length,
-        richness_defect=len(s) + 1 - len(pals),
     )
 
 
@@ -104,42 +137,37 @@ def complete_first_returns(s: str, anchor: str) -> CompleteReturns:
 
 
 @dataclass(frozen=True)
-class StabilizedPalSet:
+class StabilizedPalSet(_TreeListing):
     """Palindrome set of a stream under the doubling-window stopping rule.
 
     The scan keeps extending the prefix until no new palindrome has appeared
     between stable_horizon and checked_horizon >= 2 * stable_horizon, or the
     cap is hit first (stable is then False: "unstable-at-cap"). Whatever the
     flag, the set is exact for the scanned prefix; stability is only a
-    conjecture for the infinite word.
+    conjecture for the infinite word. The tree holds the prefix's
+    palindromes, listed on demand as in PalReport; longest is the last in
+    report order: the lexicographically greatest of maximal length.
     """
 
-    palindromes: tuple[str, ...]
     count: int
+    longest: str
     stable_horizon: int
     checked_horizon: int
     stable: bool
 
     @property
-    def pal_set(self) -> frozenset[str]:
-        return frozenset(self.palindromes)
-
-    @property
     def flag(self) -> str:
         return "stable" if self.stable else "unstable-at-cap"
 
-    @property
-    def longest(self) -> str:
-        return self.palindromes[-1] if self.palindromes else ""
-
     def to_record(self) -> dict:
+        """The JSON record; its palindromes are an iterator in report order."""
         return {
             "count": self.count,
             "longest": self.longest,
             "stable_horizon": self.stable_horizon,
             "checked_horizon": self.checked_horizon,
             "flag": self.flag,
-            "palindromes": list(self.palindromes),
+            "palindromes": self.iter_palindromes(),
         }
 
 
@@ -164,10 +192,12 @@ def stabilized_pal_set(s: PrefixStream, cap: int = 16384) -> StabilizedPalSet:
         fed = target
     stable_horizon = max(tree.last_growth, 1)
     stable = fed >= max(start, 2 * stable_horizon)
-    pals = _sorted_pals(("", *tree.palindromes()))
+    _, n, ends = _lengths(tree)
+    text = tree.text
     return StabilizedPalSet(
-        palindromes=pals,
-        count=len(pals),
+        tree=tree,
+        count=tree.distinct_palindromes + 1,
+        longest=max(text[end - n : end] for end in ends),
         stable_horizon=stable_horizon,
         checked_horizon=fed,
         stable=stable,

@@ -10,6 +10,7 @@ import json
 import operator
 import sys
 from collections.abc import Iterable, Iterator
+from itertools import chain
 
 from .analysis import (
     complete_first_returns,
@@ -23,25 +24,65 @@ from .search import enumerate_words
 from .words import alphabet, alphabet_of, least_period
 
 
+def _json_chunks(value: object, head: str = "", indent: str = "\n") -> Iterator[str]:
+    """The text of json.dumps(value, sort_keys=True, indent=2), in pieces.
+
+    head is written just before value, in its first piece; indent is the
+    line break and indentation of value's own line. Dicts and lists are laid
+    out here, and any other iterator is written as a list, item by item, so
+    a report can stream its palindromes. Keys and scalars go through
+    json.dumps, and so through json's own escaper. A string item goes out in
+    one piece with the separator before it.
+    """
+    if isinstance(value, dict):
+        items = ((json.dumps(k) + ": ", v) for k, v in sorted(value.items()))
+        brackets = "{}"
+    elif isinstance(value, (list, tuple, Iterator)):
+        items = (("", v) for v in value)
+        brackets = "[]"
+    else:
+        yield head + json.dumps(value)
+        return
+    inner = indent + "  "
+    sep = head + brackets[0] + inner
+    empty = True
+    for key, item in items:
+        if isinstance(item, str):
+            yield sep + key + json.dumps(item)
+        else:
+            yield from _json_chunks(item, sep + key, inner)
+        sep = "," + inner
+        empty = False
+    yield head + brackets if empty else indent + brackets[1]
+
+
 def _emit(
-    record: object, fmt: str, text_lines: Iterable[str | tuple[str, ...]]
+    record: object, fmt: str, text_lines: Iterable[str | Iterable[str]]
 ) -> None:
     """Print record as indented JSON, or print text_lines.
 
-    The JSON is written chunk by chunk, never held as one string, and
-    text_lines is only iterated for text, so a generator builds no line
-    that JSON output would not print. A line is a str, or a tuple of parts
-    that print writes one by one, separated by spaces, without joining them.
+    The JSON is the text of json.dump(record, sort_keys=True, indent=2),
+    written piece by piece, with any iterator in the record written as a
+    list as it is consumed; text_lines is only iterated for text. So a
+    generator builds no line that JSON output would not print, and neither
+    path holds a listing whole. A line is a str, or an iterable of parts
+    written one by one, separated by spaces, without joining them.
     """
+    write = sys.stdout.write
     if fmt == "json":
-        json.dump(record, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
-    else:
-        for line in text_lines:
-            if isinstance(line, str):
-                print(line)
-            else:
-                print(*line)
+        for chunk in _json_chunks(record):
+            write(chunk)
+        write("\n")
+        return
+    for line in text_lines:
+        if isinstance(line, str):
+            print(line)
+            continue
+        sep = ""
+        for part in line:
+            write(sep + part)
+            sep = " "
+        write("\n")
 
 
 _COMPARE = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
@@ -99,15 +140,15 @@ def _parse_filter(expr: str | None):
     return pred
 
 
-def _listing(palindromes, *head: str) -> Iterator[str | tuple[str, ...]]:
+def _listing(report, *head: str) -> Iterator[str | Iterator[str]]:
     """Text lines of a report that lists its palindromes.
 
-    The palindrome line is a tuple of parts, built only when iterated, so
-    JSON output never builds it, and never joined, so it adds no second copy
-    of their text.
+    The palindrome line is an iterator of parts that slices the palindromes
+    from the report's tree as _emit writes them, so JSON output never starts
+    it and text output holds one length of palindromes at a time.
     """
     yield from head
-    yield ("palindromes:", *(p or "~" for p in palindromes))
+    yield chain(("palindromes:",), (p or "~" for p in report.iter_palindromes()))
 
 
 def _cmd_pal(args) -> int:
@@ -115,7 +156,7 @@ def _cmd_pal(args) -> int:
         alphabet_of(args.word)  # raises on a letter outside a..h
         report = pal_set(args.word)
         lines = _listing(
-            report.palindromes,
+            report,
             f"word length {report.word_length}: {report.count} palindromes, "
             f"longest {report.longest!r} (length {len(report.longest)})",
         )
@@ -135,7 +176,7 @@ def _cmd_pal(args) -> int:
         return 0
     stab = stabilized_pal_set(stream, cap=args.cap)
     lines = _listing(
-        stab.palindromes,
+        stab,
         f"{args.gen}: {stab.count} palindromes ({stab.flag}), "
         f"longest {stab.longest!r} (length {len(stab.longest)})",
         f"stable at horizon {stab.stable_horizon}, checked to {stab.checked_horizon}",
@@ -216,7 +257,7 @@ def _cmd_enumerate(args) -> int:
     words = filter(pred, enumerate_words(symbols, args.n, dedupe=args.dedupe))
     if args.format == "json":
         record = {"alphabet": symbols, "n": args.n, "dedupe": args.dedupe,
-                  "filter": args.filter, "words": list(words)}
+                  "filter": args.filter, "words": words}
         _emit(record, args.format, [])
         return 0
     comment = f"# words over {symbols!r}, length {args.n}"

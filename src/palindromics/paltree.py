@@ -44,6 +44,8 @@ the first end of the newest node, so push() and pop() need not track it.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterator
+from itertools import groupby
 
 
 _ROOT_ENDS = array("q", [0, 0])  # copied per tree, faster than building it
@@ -216,3 +218,13 @@ class PalTree:
             text[end - n : end]
             for n, end in zip(self._len[2:], self._first_end[2:])
         ]
+
+    def ends_by_length(self) -> Iterator[tuple[int, list[int]]]:
+        """(n, first ends of the palindromes of length n) for each length n
+        present, shortest first; each list is in creation order, and
+        text[end - n : end] is its palindrome. Only the node order, sorted
+        by length, is held whole; reports slice one length at a time."""
+        lens, first_end = self._len, self._first_end
+        order = sorted(range(2, len(lens)), key=lens.__getitem__)
+        for n, nodes in groupby(order, key=lens.__getitem__):
+            yield n, [first_end[v] for v in nodes]

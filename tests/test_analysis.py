@@ -50,6 +50,19 @@ class TestPalSet:
         assert report.per_length[0] == 1
         assert report.richness_defect == len("abacaba") + 1 - report.count
 
+    @pytest.mark.parametrize("alphabet, max_n", [("ab", 10), ("abc", 7)])
+    def test_report_order_and_counts_match_oracle(self, alphabet, max_n):
+        for n in range(max_n + 1):
+            for s in all_words(alphabet, n):
+                report = pal_set(s)
+                pals = sorted(naive_pal_set(s), key=lambda p: (len(p), p))
+                assert report.palindromes == tuple(pals), s
+                assert list(report.to_record()["palindromes"]) == pals, s
+                per_length: dict[int, int] = {}
+                for p in pals:
+                    per_length[len(p)] = per_length.get(len(p), 0) + 1
+                assert report.per_length == per_length, s
+
     def test_floor_and_ceiling(self):
         for n in range(9):
             for s in all_words("ab", n):
@@ -175,6 +188,18 @@ class TestStabilizedPalSet:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             stabilized_pal_set(PeriodicStream("ab"), cap=31)
+
+    @pytest.mark.parametrize(
+        "name, longest", [("quadfold", "d"), ("paperfolding", "baaabbabbaaab")]
+    )
+    def test_longest_is_last_in_report_order(self, name, longest):
+        # Unlike pal_set, ties go to the lexicographically greatest: quadfold
+        # has a, b, c and d, and pal_set of its prefix says "a".
+        stab = stabilized_pal_set(resolve_generator(name), cap=16384)
+        assert stab.longest == longest
+        assert stab.palindromes[-1] == longest
+        assert stab.palindromes == tuple(sorted(stab.pal_set, key=lambda p: (len(p), p)))
+        assert list(stab.to_record()["palindromes"]) == list(stab.palindromes)
 
 
 class TestClosureCheck:

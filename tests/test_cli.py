@@ -5,6 +5,8 @@ import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import palindromics.cli
 from palindromics.cli import main
@@ -45,13 +47,56 @@ def test_pal_word_json_round_trip(capsys):
         ["pal", "--gen", "fibonacci", "--horizon", "4000"],
         ["closure", "--gen", "fib-bc", "--k", "2"],
         ["verify", "minpal-t9"],
+        ["pal", "--word", "a"],
+        ["pal", "--gen", "fibonacci", "--cap", "64"],
+        ["closure", "--gen", "paperfolding", "--k", "3", "--horizon", "64"],
+        ["returns", "--word", "abaababaab", "--anchor", "aba"],
+        ["returns", "--word", "ab", "--anchor", "c"],
+        ["gen", "--gen", "fibonacci", "--horizon", "20"],
+        ["verify", "all"],
+        ["enumerate", "--alphabet", "ab", "--n", "4"],
+        ["enumerate", "--alphabet", "ab", "--n", "4", "--filter", "palcount>=99"],
     ],
     ids=" ".join,
 )
 def test_json_stdout_is_one_indented_document(capsys, argv):
+    # Every command's record, iterators included, is written with the bytes
+    # of json.dump(record, sort_keys=True, indent=2); empty lists among them.
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(alphabet=st.sampled_from('ab"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+    | st.text()
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def _as_iterators(value, data):
+    """value with each list drawn as a list, a tuple or a one-pass iterator."""
+    if isinstance(value, dict):
+        return {k: _as_iterators(v, data) for k, v in value.items()}
+    if isinstance(value, list):
+        items = [_as_iterators(v, data) for v in value]
+        return data.draw(st.sampled_from((list, tuple, iter)))(items)
+    return value
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES, st.data())
+def test_json_writer_matches_json_dumps(value, data):
+    expected = json.dumps(value, sort_keys=True, indent=2)
+    assert "".join(palindromics.cli._json_chunks(value)) == expected
+    streamed = _as_iterators(value, data)
+    assert "".join(palindromics.cli._json_chunks(streamed)) == expected
 
 
 class _CountingSink:
@@ -68,18 +113,23 @@ class _CountingSink:
         pass
 
 
+_PAL_PREFIXES = [  # (argv, prefix letters)
+    (["pal", "--gen", "fibonacci", "--horizon", "4000", "--format", "json"], 4000),
+    (["pal", "--gen", "fibonacci", "--cap", "4096", "--format", "json"], 4096),
+    (["pal", "--gen", "fibonacci", "--cap", "4096"], 4096),
+    (["pal", "--gen", "fibonacci", "--horizon", "32768"], 32768),
+]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [
-        ["pal", "--gen", "fibonacci", "--horizon", "4000", "--format", "json"],
-        ["pal", "--gen", "fibonacci", "--cap", "4096", "--format", "json"],
-        ["pal", "--gen", "fibonacci", "--cap", "4096"],
-    ],
-    ids=" ".join,
+    "argv, letters", _PAL_PREFIXES, ids=[" ".join(a) for a, _ in _PAL_PREFIXES]
 )
-def test_pal_peak_memory_within_twice_the_output(argv):
-    # The palindromes themselves are about one copy of the output; the
-    # report path may add no second copy (a joined JSON string or text line).
+def test_pal_peak_memory_linear_in_the_prefix(argv, letters):
+    # A report holds its palindromic tree, about 110 bytes a letter here, and
+    # the palindromes of one length at a time. The listings write 6 MB each,
+    # about 1,500 bytes a letter, so holding them whole breaks the bound;
+    # holding the 2^15-letter one took about 390 MB, though its text output
+    # is only the summary.
     sink = _CountingSink()
     tracemalloc.start()
     try:
@@ -89,8 +139,23 @@ def test_pal_peak_memory_within_twice_the_output(argv):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert sink.chars > 5_000_000
-    assert peak <= 2 * sink.chars, (peak, sink.chars)
+    assert peak <= 1_000 * letters, (peak, sink.chars)
+
+
+def test_enumerate_json_peak_memory_independent_of_the_word_count():
+    # The words stream into the JSON writer; a list of all 65,536 held
+    # about 5 MB.
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(["enumerate", "--alphabet", "ab", "--n", "16", "--format", "json"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars > 1_500_000
+    assert peak <= 1_000_000, (peak, sink.chars)
 
 
 def test_pal_generator_stabilized(capsys):

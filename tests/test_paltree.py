@@ -145,6 +145,16 @@ def test_palindromes_in_first_occurrence_order(alphabet, max_n):
             assert PalTree(s).palindromes() == naive_pals_by_first_end(s), s
 
 
+@pytest.mark.parametrize("alphabet, max_n", [("ab", 10), ("abc", 7)])
+def test_ends_by_length_matches_oracle(alphabet, max_n):
+    for n in range(max_n + 1):
+        for s in all_words(alphabet, n):
+            groups = {}
+            for p in naive_pals_by_first_end(s):
+                groups.setdefault(len(p), []).append(s.index(p) + len(p))
+            assert list(PalTree(s).ends_by_length()) == sorted(groups.items()), s
+
+
 def test_oracle_equivalence_ternary():
     for n in range(10):
         for s in all_words("abc", n):
