@@ -223,14 +223,6 @@ class ClosureReport:
     def closed(self) -> bool:
         return not self.witness_missing
 
-    def to_record(self) -> dict:
-        return {
-            "k": self.k,
-            "horizon": self.horizon,
-            "witness_missing": [list(pair) for pair in self.witness_missing],
-            "closed_up_to": self.closed_up_to,
-        }
-
 
 def reversal_closure_check(
     s: PrefixStream, k: int, horizon: int = 4096

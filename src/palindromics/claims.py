@@ -728,13 +728,13 @@ def run_return_family_claim(claim: ReturnFamilyClaim) -> ClaimVerdict:
 
 
 def replay_return_witness(claim: ReturnFamilyClaim, witness: dict) -> bool:
-    """Re-check a refutation witness: the host must satisfy the constraints,
-    the return must be a complete first return to the anchor inside it, and
-    the return must sit outside every family. True means the violation
-    reproduces.
+    """Re-check a refutation witness: the host must satisfy every constraint,
+    its required factors included, the return must be a complete first
+    return to the anchor inside it, and the return must sit outside every
+    family. True means the violation reproduces.
     """
     host, ret = witness["host"], witness["return"]
-    if not claim.constraints.satisfies(host, check_required=False):
+    if not claim.constraints.satisfies(host):
         return False
     scan = complete_first_returns(host, claim.anchor)
     if ret not in scan.returns:

@@ -1,6 +1,10 @@
 """Command-line surface: analyze words and streams, run verifiers, export corpora.
 
-Exit codes: 0 success/verified, 1 refuted claim, 2 usage error.
+Every command honours --format text|json, and stdout is written only by
+_emit: a command hands it a zero-argument callable that builds the JSON
+record and the text lines, and _emit calls or iterates only the one asked
+for. Errors go to stderr. Exit codes: 0 success/verified, 1 refuted claim,
+2 usage error.
 """
 
 from __future__ import annotations
@@ -9,7 +13,9 @@ import argparse
 import json
 import operator
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import asdict
+from functools import partial
 from itertools import chain
 
 from .analysis import (
@@ -57,24 +63,24 @@ def _json_chunks(value: object, head: str = "", indent: str = "\n") -> Iterator[
 
 
 def _emit(
-    record: object, fmt: str, text_lines: Iterable[str | Iterable[str]]
+    fmt: str, record: Callable[[], object], lines: Iterable[str | Iterable[str]]
 ) -> None:
-    """Print record as indented JSON, or print text_lines.
+    """Print record() as indented JSON, or print lines: the only stdout writer.
 
-    The JSON is the text of json.dump(record, sort_keys=True, indent=2),
-    written piece by piece, with any iterator in the record written as a
-    list as it is consumed; text_lines is only iterated for text. So a
-    generator builds no line that JSON output would not print, and neither
-    path holds a listing whole. A line is a str, or an iterable of parts
-    written one by one, separated by spaces, without joining them.
+    record is called only for JSON, and lines is iterated only for text, so
+    neither format builds what the other prints. The JSON is the text of
+    json.dump(record(), sort_keys=True, indent=2), written piece by piece,
+    with any iterator in the record written as a list as it is consumed, so
+    neither path holds a listing whole. A line is a str, or an iterable of
+    parts written one by one, separated by spaces, without joining them.
     """
     write = sys.stdout.write
     if fmt == "json":
-        for chunk in _json_chunks(record):
+        for chunk in _json_chunks(record()):
             write(chunk)
         write("\n")
         return
-    for line in text_lines:
+    for line in lines:
         if isinstance(line, str):
             print(line)
             continue
@@ -86,6 +92,13 @@ def _emit(
 
 
 _COMPARE = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}
+
+
+def _clause_int(clause: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"bad filter clause {clause!r}") from None
 
 
 def _parse_filter(expr: str | None):
@@ -112,7 +125,7 @@ def _parse_filter(expr: str | None):
             compare = _COMPARE.get(clause[len("palcount") : len("palcount") + 2])
             if compare is None:
                 raise ValueError(f"bad palcount clause {clause!r}")
-            n = int(clause[len("palcount") + 2 :])
+            n = _clause_int(clause, clause[len("palcount") + 2 :])
             on_report.append(lambda r, c=compare, n=n: c(r.count, n))
         elif clause.startswith("contains:"):
             needle = clause.split(":", 1)[1]
@@ -121,10 +134,10 @@ def _parse_filter(expr: str | None):
             needle = clause.split(":", 1)[1]
             on_word.append(lambda w, s=needle: s not in w)
         elif clause.startswith("period=="):
-            n = int(clause.split("==", 1)[1])
+            n = _clause_int(clause, clause.split("==", 1)[1])
             on_word.append(lambda w, n=n: least_period(w) == n)
         elif clause.startswith("maxpal<="):
-            n = int(clause.split("<=", 1)[1])
+            n = _clause_int(clause, clause.split("<=", 1)[1])
             on_report.append(lambda r, n=n: len(r.longest) <= n)
         else:
             raise ValueError(f"unknown filter clause {clause!r}")
@@ -160,28 +173,22 @@ def _cmd_pal(args) -> int:
             f"word length {report.word_length}: {report.count} palindromes, "
             f"longest {report.longest!r} (length {len(report.longest)})",
         )
-        _emit(report.to_record(), args.format, lines)
-        return 0
-    stream = resolve_generator(args.gen)
-    if args.horizon is not None:
-        report = pal_set(stream.prefix_text(args.horizon))
-        _emit(
-            report.to_record(),
-            args.format,
-            [
-                f"{args.gen} prefix {args.horizon}: {report.count} palindromes, "
-                f"longest {report.longest!r} (length {len(report.longest)})",
-            ],
+    elif args.horizon is not None:
+        report = pal_set(resolve_generator(args.gen).prefix_text(args.horizon))
+        lines = [
+            f"{args.gen} prefix {args.horizon}: {report.count} palindromes, "
+            f"longest {report.longest!r} (length {len(report.longest)})",
+        ]
+    else:
+        report = stabilized_pal_set(resolve_generator(args.gen), cap=args.cap)
+        lines = _listing(
+            report,
+            f"{args.gen}: {report.count} palindromes ({report.flag}), "
+            f"longest {report.longest!r} (length {len(report.longest)})",
+            f"stable at horizon {report.stable_horizon}, "
+            f"checked to {report.checked_horizon}",
         )
-        return 0
-    stab = stabilized_pal_set(stream, cap=args.cap)
-    lines = _listing(
-        stab,
-        f"{args.gen}: {stab.count} palindromes ({stab.flag}), "
-        f"longest {stab.longest!r} (length {len(stab.longest)})",
-        f"stable at horizon {stab.stable_horizon}, checked to {stab.checked_horizon}",
-    )
-    _emit(stab.to_record(), args.format, lines)
+    _emit(args.format, report.to_record, lines)
     return 0
 
 
@@ -196,7 +203,7 @@ def _cmd_closure(args) -> int:
     ]
     lines += [f"  factor {u!r} missing reversal {r!r}"
               for u, r in report.witness_missing[:20]]
-    _emit(report.to_record(), args.format, lines)
+    _emit(args.format, partial(asdict, report), lines)
     return 0
 
 
@@ -204,50 +211,41 @@ def _cmd_returns(args) -> int:
     alphabet_of(args.word)
     alphabet_of(args.anchor)
     scan = complete_first_returns(args.word, args.anchor)
-    record = {
-        "anchor": scan.anchor,
-        "anchor_found": scan.anchor_found,
-        "returns": list(scan.returns),
-    }
-    lines = []
     if not scan.anchor_found:
-        lines.append(f"anchor {scan.anchor!r} does not occur")
+        lines = [f"anchor {scan.anchor!r} does not occur"]
     else:
-        lines.append(
-            f"{len(scan.returns)} complete first return(s) to {scan.anchor!r}:"
-        )
+        lines = [f"{len(scan.returns)} complete first return(s) to {scan.anchor!r}:"]
         lines += [f"  {r}" for r in scan.returns]
-    _emit(record, args.format, lines)
+    _emit(args.format, partial(asdict, scan), lines)
     return 0
 
 
 def _cmd_gen(args) -> int:
-    stream = resolve_generator(args.gen)
-    prefix = stream.prefix_text(args.horizon)
-    _emit({"generator": args.gen, "prefix": prefix}, args.format, [prefix])
+    prefix = resolve_generator(args.gen).prefix_text(args.horizon)
+    _emit(args.format, partial(dict, generator=args.gen, prefix=prefix), [prefix])
     return 0
 
 
 def _cmd_verify(args) -> int:
+    if args.claim == "list":
+        lines = (f"{e['claim_id']}: {e['summary']}" for e in manifest())
+        _emit(args.format, manifest, lines)
+        return 0
     if args.claim == "all":
         verdicts = run_all()
-    elif args.claim == "list":
-        for entry in manifest():
-            print(f"{entry['claim_id']}: {entry['summary']}")
-        return 0
-    else:
-        if args.claim not in CLAIMS:
-            print(f"unknown claim {args.claim!r}; known claims:", file=sys.stderr)
-            for entry in manifest():
-                print(f"  {entry['claim_id']}", file=sys.stderr)
-            return 2
+    elif args.claim in CLAIMS:
         verdicts = [run_claim(args.claim)]
+    else:
+        print(f"unknown claim {args.claim!r}; known claims:", file=sys.stderr)
+        for entry in manifest():
+            print(f"  {entry['claim_id']}", file=sys.stderr)
+        return 2
     lines = []
     for v in verdicts:
         lines.append(f"{v.claim_id}: {v.status}  bound={v.bound}")
         if v.status == "refuted":
             lines += [f"  witness: {w}" for w in v.witnesses[:5]]
-    _emit([v.to_record() for v in verdicts], args.format, lines)
+    _emit(args.format, lambda: [v.to_record() for v in verdicts], lines)
     return 0 if all(v.ok for v in verdicts) else 1
 
 
@@ -255,20 +253,20 @@ def _cmd_enumerate(args) -> int:
     symbols = alphabet(args.alphabet)
     pred = _parse_filter(args.filter)
     words = filter(pred, enumerate_words(symbols, args.n, dedupe=args.dedupe))
-    if args.format == "json":
-        record = {"alphabet": symbols, "n": args.n, "dedupe": args.dedupe,
-                  "filter": args.filter, "words": words}
-        _emit(record, args.format, [])
-        return 0
-    comment = f"# words over {symbols!r}, length {args.n}"
-    if args.filter:
-        comment += f", filter {args.filter!r}"
-    print(comment)
-    shown = 0
-    for text in words:  # streamed: the text mode never holds the word list
-        print(text)
-        shown += 1
-    print(f"# {shown} word(s)")
+
+    def lines() -> Iterator[str]:  # streamed: the text never holds the word list
+        comment = f"# words over {symbols!r}, length {args.n}"
+        if args.filter:
+            comment += f", filter {args.filter!r}"
+        yield comment
+        shown = 0
+        for shown, text in enumerate(words, 1):
+            yield text
+        yield f"# {shown} word(s)"
+
+    record = partial(dict, alphabet=symbols, n=args.n, dedupe=args.dedupe,
+                     filter=args.filter, words=words)
+    _emit(args.format, record, lines())
     return 0
 
 

@@ -79,22 +79,18 @@ class ConstraintSet:
         """Distinct palindromes charged to the budget (union with assumed)."""
         return len(self.assumed_with_epsilon() | pals)
 
-    def satisfies(self, s: str, check_required: bool = True) -> bool:
-        """Full non-incremental check, used by oracles and witness replay."""
-        for f in self.forbidden_factors:
-            if f in s:
-                return False
+    def satisfies(self, s: str) -> bool:
+        """Full non-incremental check of every constraint, required factors
+        included; used by oracles and witness replay."""
+        if any(f in s for f in self.forbidden_factors):
+            return False
+        if not all(r in s for r in self.required_factors):
+            return False
         report = pal_set(s)
         cap, budget = self.pal_length_cap, self.pal_budget
         if cap is not None and len(report.longest) > cap:
             return False
-        if budget is not None and self.charged_count(report.pal_set) > budget:
-            return False
-        if check_required:
-            for r in self.required_factors:
-                if r not in s:
-                    return False
-        return True
+        return budget is None or self.charged_count(report.pal_set) <= budget
 
 
 def palindromes_of_length(alphabet: str, length: int) -> set[str]:

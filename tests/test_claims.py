@@ -127,7 +127,7 @@ class TestReturnClaims:
         for w in v.witnesses:
             assert replay_return_witness(weakened, w)
             # The same witness does not satisfy the original constraints.
-            assert not claim.constraints.satisfies(w["host"], check_required=False)
+            assert not claim.constraints.satisfies(w["host"])
 
     def test_replay_rejects_tampered_witness(self):
         claim = RETURN_CLAIMS["returns-baaab"]
@@ -138,6 +138,18 @@ class TestReturnClaims:
         witness = dict(v.witnesses[0])
         witness["return"] = "baaabbabaaab"  # a family member, not a violation
         assert not replay_return_witness(weakened, witness)
+
+    def test_replay_rejects_host_without_required_factors(self):
+        # The return is a complete first return to baaab outside every
+        # family, and alone it meets the weakened budget; but a host must
+        # also hold the claim's required factors, and it holds none.
+        claim = RETURN_CLAIMS["returns-baaab"]
+        weakened = replace(
+            claim, constraints=replace(claim.constraints, pal_budget=14)
+        )
+        ret = "baaababbaababbabaaab"
+        assert not any(r in ret for r in claim.constraints.required_factors)
+        assert not replay_return_witness(weakened, {"host": ret, "return": ret})
 
     def test_shrinking_bound_keeps_verdict(self):
         claim = replace(RETURN_CLAIMS["returns-ababa"], max_len=24)

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import palindromics.cli
+from palindromics.analysis import PalReport, StabilizedPalSet
+from palindromics.claims import ClaimVerdict
 from palindromics.cli import main
 
 from conftest import all_words, naive_earliest_longest, naive_pal_set
@@ -54,6 +56,7 @@ def test_pal_word_json_round_trip(capsys):
         ["returns", "--word", "ab", "--anchor", "c"],
         ["gen", "--gen", "fibonacci", "--horizon", "20"],
         ["verify", "all"],
+        ["verify", "list"],
         ["enumerate", "--alphabet", "ab", "--n", "4"],
         ["enumerate", "--alphabet", "ab", "--n", "4", "--filter", "palcount>=99"],
     ],
@@ -284,6 +287,27 @@ def test_verify_list(capsys):
     assert "rich9:" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pal", "--word", "aababb"],
+        ["pal", "--gen", "fib-bc"],
+        ["pal", "--gen", "fibonacci", "--horizon", "64"],
+        ["verify", "minpal-b9"],
+    ],
+    ids=" ".join,
+)
+def test_text_output_builds_no_json_record(capsys, monkeypatch, argv):
+    def refuse(self):
+        raise AssertionError("a JSON record was built for text output")
+
+    for cls in (PalReport, StabilizedPalSet, ClaimVerdict):
+        monkeypatch.setattr(cls, "to_record", refuse)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out
+
+
 def test_unknown_preset_exits_2_with_registry(capsys):
     code, _, err = run_cli(capsys, "pal", "--gen", "nonsense")
     assert code == 2
@@ -425,3 +449,11 @@ def test_enumerate_bad_filter_exit_2(capsys):
         "--filter", "sparkly",
     )
     assert code == 2
+    # A clause whose number is not an integer is named in the message.
+    for clause in ("palcount==x", "period==", "maxpal<=2.5"):
+        code, out, err = run_cli(
+            capsys, "enumerate", "--alphabet", "ab", "--n", "3",
+            "--filter", f"rich,{clause}",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: bad filter clause {clause!r}\n"

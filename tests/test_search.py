@@ -99,7 +99,9 @@ class TestConstraintSet:
         c = ConstraintSet(AB, required_factors=frozenset({"aab"}))
         assert c.satisfies("baab")
         assert not c.satisfies("abab")
-        assert c.satisfies("abab", check_required=False)
+        # Required factors are checked with the others, not instead of them.
+        both = ConstraintSet(AB, required_factors=frozenset({"aab"}), pal_budget=4)
+        assert not both.satisfies("aabaa")
 
 
 class TestPalindromesOfLength:
@@ -137,7 +139,7 @@ class TestPruningSoundness:
         naive = set()
         for n in range(1, max_len + 1):
             for s in all_words("ab", n):
-                if constraints.satisfies(s, check_required=False):
+                if constraints.satisfies(s):
                     naive.add(s)
         assert pruned == naive
 
