@@ -162,14 +162,6 @@ def _pal_count(s: str) -> int:
     return PalTree(s).distinct_palindromes + 1
 
 
-def _leaf_pal_counts(walk: PalWalk):
-    """(word, palindrome count with epsilon) for every leaf of the walk, in
-    lexicographic order; the walk's stats.leaves then counts them."""
-    tree = walk.tree
-    for w in walk.leaves():
-        yield w, tree.distinct_palindromes + 1
-
-
 def scan_min_palindromes(
     alphabet: str, n: int, word_filter=None
 ) -> tuple[int, list[str], int]:
@@ -179,7 +171,7 @@ def scan_min_palindromes(
     best = n + 2
     argmin: list[str] = []
     scanned = 0
-    for s, c in _leaf_pal_counts(PalWalk(ConstraintSet(alphabet), n)):
+    for s, c in PalWalk(ConstraintSet(alphabet), n).leaves():
         if word_filter is not None and not word_filter(s):
             continue
         scanned += 1
@@ -239,12 +231,12 @@ def verify_min4() -> ClaimVerdict:
     from .search import low_palindrome_words
 
     rows = low_palindrome_words(4, 12, budget=4)
-    too_few = sorted(w for w, c in rows if c <= 3)
     exact4 = sorted(w for w, c in rows if c == 4)
     # Cross-check: the binary floor at this length is far above 4.
     binary_floor, _, _ = scan_min_palindromes(AB, 12)
     witness = {"exactly_four": exact4, "binary_floor_at_12": binary_floor}
-    problems = [{"word": w, "palindromes": len(_pals(w))} for w in too_few[:8]]
+    # The rows come in lexicographic order: these are the first eight.
+    problems = [{"word": w, "palindromes": c} for w, c in rows if c <= 3][:8]
     if exact4 != ["abcabcabcabc"] or binary_floor != 9:
         problems.append(witness)
     return _verdict(
@@ -289,7 +281,7 @@ def verify_exact9() -> ClaimVerdict:
     exact9 = []
     below9 = []
     walk = PalWalk(ConstraintSet(AB), 12)
-    for w, c in _leaf_pal_counts(walk):
+    for w, c in walk.leaves():
         if c == 9:
             exact9.append(w)
         elif c < 9:
@@ -373,7 +365,7 @@ def verify_exact10() -> ClaimVerdict:
     """
     classes = ten_palindrome_classes()
     walk = PalWalk(ConstraintSet(AB), 14)
-    exact10 = {w for w, c in _leaf_pal_counts(walk) if c == 10}
+    exact10 = {w for w, c in walk.leaves() if c == 10}
     union = set().union(*classes.values())
     problems: list = []
     unclassified = sorted(exact10 - union)
@@ -488,11 +480,10 @@ def verify_need_squares() -> ClaimVerdict:
     nonrich = []
     exceptional: dict[frozenset, str] = {}
     walk = PalWalk(ConstraintSet(AB), 12)
-    tree = walk.tree
-    for w in walk.leaves():
-        if tree.distinct_palindromes + 1 < 13:
+    for w, c in walk.leaves():
+        if c < 13:
             nonrich.append(w)
-            pals = frozenset(tree.palindromes()) | {""}
+            pals = frozenset(walk.tree.palindromes()) | {""}
             if "aa" not in pals or "bb" not in pals:
                 exceptional.setdefault(pals, w)
     problems: list = []
@@ -799,13 +790,13 @@ def verify_stream_pal_counts() -> ClaimVerdict:
 
 
 CLOSURE_EXPECTATIONS = {
-    # preset -> (k, horizon, must_be_closed, witness pair that must appear)
-    "paperfolding": (5, 4096, False, ("aaaba", "abaaa")),
-    "fib-bc": (2, 4096, False, ("bc", "cb")),
-    "fib-abbab": (5, 4096, False, ("abaaa", "aaaba")),
-    "quadfold": (6, 4096, True, None),
-    "maxpal5": (8, 4096, True, None),
-    "closed13": (8, 4096, True, None),
+    # preset -> (k, must_be_closed, witness pair that must appear), 4096 window
+    "paperfolding": (5, False, ("aaaba", "abaaa")),
+    "fib-bc": (2, False, ("bc", "cb")),
+    "fib-abbab": (5, False, ("abaaa", "aaaba")),
+    "quadfold": (6, True, None),
+    "maxpal5": (8, True, None),
+    "closed13": (8, True, None),
 }
 
 
@@ -819,8 +810,8 @@ def verify_closure_checks() -> ClaimVerdict:
     """
     problems: list = []
     rows = []
-    for name, (k, horizon, closed, pair) in sorted(CLOSURE_EXPECTATIONS.items()):
-        report = reversal_closure_check(resolve_generator(name), k=k, horizon=horizon)
+    for name, (k, closed, pair) in sorted(CLOSURE_EXPECTATIONS.items()):
+        report = reversal_closure_check(resolve_generator(name), k=k)
         rows.append(
             {
                 "stream": name,

@@ -4,7 +4,8 @@ Every command honours --format text|json, and stdout is written only by
 _emit: a command hands it a zero-argument callable that builds the JSON
 record and the text lines, and _emit calls or iterates only the one asked
 for. Errors go to stderr. Exit codes: 0 success/verified, 1 refuted claim,
-2 usage error.
+2 usage error, 141 (128 + SIGPIPE) when the reader closed stdout early, as
+in ``| head``; that exit prints nothing to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import operator
+import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict
@@ -335,7 +337,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader left; the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UnknownGeneratorError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"presets: {', '.join(preset_names())}", file=sys.stderr)

@@ -38,7 +38,7 @@ class FixedPointStream(PrefixStream):
     Materializes by self-reading. The text T is always the image of its
     first k letters (T = image(seed) and k = 1 at the start), so the image
     of the unexpanded rest T[k:] is the next stretch of the fixed point.
-    Each round expands that rest with one join, or only its first n - |T|
+    Each round expands that rest with one Morphism.apply, or its first n - |T|
     letters, which suffice because no image is empty. A round adds at least
     as many letters as it reads, so prefix_text(n) takes time linear in n,
     even for a slowly growing morphism such as a->ab, b->b, which adds one
@@ -58,7 +58,7 @@ class FixedPointStream(PrefixStream):
         self._next = 1  # the text is the image of its first _next letters
 
     def _grow(self, n: int) -> None:
-        image = self.morphism.images.__getitem__
+        apply = self.morphism.apply
         parts = [self._text]
         total = len(self._text)
         rest = self._text[self._next :]
@@ -66,7 +66,7 @@ class FixedPointStream(PrefixStream):
             # Taking fewer than all of rest reaches n, so ends the loop.
             take = rest[: n - total]
             self._next += len(take)
-            rest = "".join(map(image, take))
+            rest = apply(take)
             parts.append(rest)
             total += len(rest)
         self._text = "".join(parts)
@@ -91,16 +91,16 @@ class ImageStream(PrefixStream):
         self._consumed = 0
 
     def _grow(self, n: int) -> None:
-        images = self.morphism.images
+        apply = self.morphism.apply
         parts = [self._text]
         total = len(self._text)
-        longest = max(map(len, images.values()))
+        longest = max(map(len, self.morphism.images.values()))
         while total < n:
             # No image is empty, so each round adds at least one letter.
             take = (n - total + longest - 1) // longest
             chunk = self.inner.read(self._consumed, self._consumed + take)
             self._consumed += len(chunk)
-            chunk = "".join(map(images.__getitem__, chunk))
+            chunk = apply(chunk)
             parts.append(chunk)
             total += len(chunk)
         self._text = "".join(parts)
@@ -176,15 +176,6 @@ MORPHISMS: dict[str, str] = {
 }
 
 
-def named_morphism(name: str) -> Morphism:
-    try:
-        return Morphism.parse(MORPHISMS[name])
-    except KeyError:
-        raise UnknownGeneratorError(
-            f"unknown morphism {name!r}; named morphisms: {', '.join(sorted(MORPHISMS))}"
-        ) from None
-
-
 # preset name -> the generator reference it stands for
 PRESETS: dict[str, str] = {
     # binary Fibonacci word, the fixed point of a->ab, b->a
@@ -237,9 +228,15 @@ def _parse_call(text: str) -> tuple[str, list[str]] | None:
 
 
 def _morphism_from_token(token: str) -> Morphism:
+    """Inline rules 'a->ab,b->a', or the name of one of MORPHISMS."""
     if "->" in token:
         return Morphism.parse(token)
-    return named_morphism(token.strip())
+    name = token.strip()
+    if name not in MORPHISMS:
+        raise UnknownGeneratorError(
+            f"unknown morphism {name!r}; named morphisms: {', '.join(sorted(MORPHISMS))}"
+        )
+    return Morphism.parse(MORPHISMS[name])
 
 
 REVCLOSE_KEYS = frozenset({"U0", "inserts", "t", "alphabet"})

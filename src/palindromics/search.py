@@ -235,9 +235,12 @@ class PalWalk:
             yield depth, word
 
     def leaves(self):
-        """The visited words of length max_len, in lexicographic order."""
-        n = self.max_len
-        return (w for depth, w in self if depth == n)
+        """(word, palindrome count with epsilon) for each visited word of
+        length max_len, in lexicographic order. While the consumer holds a
+        pair, ``tree`` is still that word's tree, so the palindromes behind
+        the count can be read off it; stats.leaves counts the pairs."""
+        n, tree = self.max_len, self.tree
+        return ((w, tree.distinct_palindromes + 1) for d, w in self if d == n)
 
 
 @dataclass(frozen=True)
@@ -351,6 +354,4 @@ def low_palindrome_words(
     if not 1 <= max_letters <= 8:
         raise ValueError("max_letters must be 1..8")
     constraints = ConstraintSet(SYMBOLS[:max_letters], pal_budget=budget)
-    walk = PalWalk(constraints, length, canonical=True)
-    tree = walk.tree
-    return [(w, tree.distinct_palindromes + 1) for w in walk.leaves()]
+    return list(PalWalk(constraints, length, canonical=True).leaves())

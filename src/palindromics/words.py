@@ -143,7 +143,9 @@ class Morphism:
         return cls(images)
 
     def apply(self, s: str) -> str:
-        return "".join([self.images[ch] for ch in s])
+        """The image of s, letter by letter: the one image step that the
+        fixed-point and image streams take on each chunk they expand."""
+        return "".join(map(self.images.__getitem__, s))
 
     def is_prolongable(self, seed: str) -> bool:
         """True when image(seed) starts with seed and has length at least 2,

@@ -2,7 +2,11 @@
 
 import contextlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -306,6 +310,38 @@ def test_text_output_builds_no_json_record(capsys, monkeypatch, argv):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out
+
+
+@pytest.mark.parametrize(
+    "argv, nbytes",
+    [
+        (("pal", "--gen", "fibonacci", "--cap", "4096"), 10),
+        (("pal", "--gen", "fibonacci", "--format", "json"), 10),
+        # 2 kB fit in the pipe, so the reader closes before the first write:
+        # the whole listing is still buffered when main flushes it.
+        (("verify", "list"), 0),
+    ],
+)
+def test_closed_stdout_exits_141_quietly(argv, nbytes):
+    # A reader such as `| head -c 10` that closes the pipe early ends the
+    # command with 128 + SIGPIPE and no traceback. The child's stdout is
+    # block-buffered, as it is for any pipe unless PYTHONUNBUFFERED is set.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(Path(palindromics.cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    r, w = os.pipe()
+    if not nbytes:
+        os.close(r)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "palindromics", *argv],
+        stdout=w, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(w)
+    if nbytes:
+        with os.fdopen(r, "rb") as out:
+            assert len(out.read(nbytes)) == nbytes
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_unknown_preset_exits_2_with_registry(capsys):

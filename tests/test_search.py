@@ -335,6 +335,30 @@ def test_walk_yields_the_tree_of_each_word():
         assert walk.tree.text == w
 
 
+@pytest.mark.parametrize("canonical", [False, True])
+@pytest.mark.parametrize(
+    "alphabet, kwargs, max_len",
+    [
+        ("ab", {}, 8),
+        ("abc", {"pal_budget": 6}, 9),
+        ("ab", {"forbidden_factors": frozenset({"aaa", "bb"})}, 10),
+    ],
+    ids=["plain", "budget", "forbidden"],
+)
+def test_leaves_carry_their_palindrome_counts(alphabet, kwargs, max_len, canonical):
+    constraints = ConstraintSet(alphabet, **kwargs)
+    walk = PalWalk(constraints, max_len, canonical=canonical)
+    pairs = []
+    for w, count in walk.leaves():
+        assert walk.tree.text == w  # the tree is still the leaf's own
+        assert count == len(naive_pal_set(w)), w
+        pairs.append((w, count))
+    assert pairs
+    full = PalWalk(constraints, max_len, canonical=canonical)
+    assert [w for w, _ in pairs] == [w for d, w in full if d == max_len]
+    assert walk.stats.leaves == len(pairs)
+
+
 def test_low_palindrome_words_budget4():
     rows = low_palindrome_words(4, 12, budget=4)
     assert rows == [("abcabcabcabc", 4)]

@@ -301,6 +301,13 @@ class TestSpecParsing:
         with pytest.raises(UnknownGeneratorError):
             resolve_generator("nonsense")
 
+    def test_unknown_morphism_names_the_known_ones(self):
+        with pytest.raises(UnknownGeneratorError) as err:
+            resolve_generator("image( nope , fibonacci)")
+        assert str(err.value) == (
+            "unknown morphism 'nope'; named morphisms: abbab, bc, pairswap"
+        )
+
     def test_unknown_form(self):
         with pytest.raises(UnknownGeneratorError):
             resolve_generator("spiral(ab)")
