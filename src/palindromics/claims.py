@@ -1,5 +1,12 @@
 """Built-in verifiers, one per computational claim the library reproduces.
 
+A claim is a set of named checks with stated values, each a pair (found,
+expected), and ``_verdict`` is the one comparator: when every check holds,
+the verdict keeps the claim's status and its one witness; otherwise it is
+'refuted', with one witness ``{name: found, "expected": expected}`` per
+failed check. First-return claims refute with ``{"return", "host"}``
+witnesses instead, which ``replay_return_witness`` re-checks.
+
 The registry ``CLAIMS`` maps each claim id to its one-line summary and a
 zero-argument verifier. One-off verifiers register themselves with the
 ``@claim(id, summary)`` decorator; the three minimum-count scans and the four
@@ -7,11 +14,9 @@ first-return checks are rows of data (``MINPAL_EXPECTATIONS`` and
 ``RETURN_CLAIMS``) registered by a loop over those rows. ``run_claim`` times
 every verifier once and records the time as ``stats["elapsed_s"]``.
 
-Each verifier is a pure function returning a ClaimVerdict. Exhaustive scans
-over finite spaces yield 'verified'; anything whose true statement quantifies
-over infinite words is honestly downgraded to 'verified-up-to-bound' with the
-bound recorded in the verdict. Refuted verdicts always carry replayable
-witnesses.
+Exhaustive scans over finite spaces yield 'verified'; anything whose true
+statement quantifies over infinite words is honestly downgraded to
+'verified-up-to-bound' with the bound recorded in the verdict.
 """
 
 from __future__ import annotations
@@ -104,8 +109,11 @@ EXCEPTIONAL_WITNESS = "aaababaabaaa"
 class ClaimVerdict:
     """Outcome of one verifier run.
 
-    Witness lists and bounds are deterministic across runs; stats (timing,
-    node counts) are informational and excluded from equality.
+    A verdict that holds carries one witness, the claim's evidence; a refuted
+    one carries a witness per failed check (see ``_verdict``) or per
+    offending first return. Witness lists and bounds are deterministic
+    across runs; stats (timing, node counts) are informational and excluded
+    from equality.
     """
 
     claim_id: str
@@ -143,15 +151,32 @@ def claim(claim_id: str, summary: str):
 
 
 def _verdict(
-    claim_id: str, problems: list, bound: dict, witness: dict,
-    stats: dict | None = None, holds: str = VERIFIED,
+    claim_id: str, checks: dict[str, tuple], bound: dict, witness: dict,
+    stats: dict | None = None, holds: str = VERIFIED, *,
+    refuted_with: dict | None = None,
 ) -> ClaimVerdict:
-    """The holds status with the one witness when no problem was found, else
-    refuted with the problems as witnesses."""
-    stats = stats or {}
-    if problems:
-        return ClaimVerdict(claim_id, REFUTED, bound, problems, stats)
-    return ClaimVerdict(claim_id, holds, bound, [witness], stats)
+    """The verdict on a claim stated as named checks, name -> (found, expected).
+
+    When every found == expected, the status is holds with the one witness.
+    Otherwise it is refuted, with one witness per failed check, ``{name:
+    found, "expected": expected}`` plus the items of refuted_with, and sets
+    written as sorted lists so that every witness stays JSON-writable.
+    """
+    failed = [
+        {name: _plain(found), "expected": _plain(expected), **(refuted_with or {})}
+        for name, (found, expected) in checks.items()
+        if found != expected
+    ]
+    if failed:
+        return ClaimVerdict(claim_id, REFUTED, bound, failed, stats or {})
+    return ClaimVerdict(claim_id, holds, bound, [witness], stats or {})
+
+
+def _plain(value):
+    """value with every set, sets of sets included, as a sorted list."""
+    if isinstance(value, (set, frozenset)):
+        return sorted(map(_plain, value))
+    return value
 
 
 def _pals(s: str) -> set[str]:
@@ -187,16 +212,17 @@ def minpal_scan(
 ) -> ClaimVerdict:
     """Minimum palindrome count over all length-n words; the witnesses are
     the argmin words. When the minimum differs from expected, the verdict is
-    refuted and its witness also names the expected value.
+    refuted and its witness still lists the argmin words.
     """
     best, argmin, scanned = scan_min_palindromes(alphabet, n)
-    witness = {"min_palindromes": best, "argmin": sorted(argmin)}
+    argmin = sorted(argmin)
     return _verdict(
         claim_id,
-        [] if best == expected else [{**witness, "expected": expected}],
+        {"min_palindromes": (best, expected)},
         bound={"alphabet": alphabet, "length": n, "class": "all"},
-        witness=witness,
+        witness={"min_palindromes": best, "argmin": argmin},
         stats={"scanned": scanned},
+        refuted_with={"argmin": argmin},
     )
 
 
@@ -207,14 +233,15 @@ def verify_rich9() -> ClaimVerdict:
     best, argmin, scanned = scan_min_palindromes(
         AB, 9, word_filter=lambda w: len(set(w)) == 2
     )
-    witness = {"min_palindromes": best, "argmin_count": len(argmin),
-               "argmin_sample": sorted(argmin)[:8]}
+    sample = sorted(argmin)[:8]
     return _verdict(
         "rich9",
-        [] if best == 9 else [witness],
+        {"min_palindromes": (best, 9)},
         bound={"alphabet": "ab", "length": 9, "letters_present": 2},
-        witness=witness,
+        witness={"min_palindromes": best, "argmin_count": len(argmin),
+                 "argmin_sample": sample},
         stats={"scanned": scanned},
+        refuted_with={"argmin_sample": sample},
     )
 
 
@@ -232,18 +259,18 @@ def verify_min4() -> ClaimVerdict:
 
     rows = low_palindrome_words(4, 12, budget=4)
     exact4 = sorted(w for w, c in rows if c == 4)
-    # Cross-check: the binary floor at this length is far above 4.
     binary_floor, _, _ = scan_min_palindromes(AB, 12)
-    witness = {"exactly_four": exact4, "binary_floor_at_12": binary_floor}
-    # The rows come in lexicographic order: these are the first eight.
-    problems = [{"word": w, "palindromes": c} for w, c in rows if c <= 3][:8]
-    if exact4 != ["abcabcabcabc"] or binary_floor != 9:
-        problems.append(witness)
     return _verdict(
         "min4",
-        problems,
+        {
+            # The rows come in lexicographic order: these are the first eight.
+            "fewer_than_four": ([w for w, c in rows if c < 4][:8], []),
+            "exactly_four": (exact4, ["abcabcabcabc"]),
+            # Cross-check: the binary floor at this length is far above 4.
+            "binary_floor_at_12": (binary_floor, 9),
+        },
         bound={"length": 12, "max_letters": 4},
-        witness=witness,
+        witness={"exactly_four": exact4, "binary_floor_at_12": binary_floor},
         stats={"canonical_words_within_budget": len(rows)},
         holds=VERIFIED_UP_TO_BOUND,
     )
@@ -278,34 +305,26 @@ def verify_exact9() -> ClaimVerdict:
     blocks = _conjugates_of_class("aababb")
     expected_squares = sorted(u * 2 for u in blocks)
     class_squares = sorted(w * 2 for w in iso_class("aababb", AB))
-    exact9 = []
-    below9 = []
     walk = PalWalk(ConstraintSet(AB), 12)
-    for w, c in walk.leaves():
-        if c == 9:
-            exact9.append(w)
-        elif c < 9:
-            below9.append(w)
-    problems: list = []
-    if below9:
-        problems.append({"below_floor": below9[:8]})
-    if sorted(exact9) != expected_squares:
-        problems.append({"exactly_nine": sorted(exact9), "expected": expected_squares})
-    for s in expected_squares:
-        if _pals(s) != PERIOD6_PAL_SET:
-            problems.append({"square_with_wrong_pal_set": s})
-    extension_rows = []
-    for u in blocks:
-        for letter in "ab":
-            s = u * 2 + letter
-            p = least_period(s)
-            c = _pal_count(s)
-            extension_rows.append({"word": s, "period": p, "palindromes": c})
-            if p != 6 and c < 10:
-                problems.append({"period_break_without_growth": s})
+    low = [(w, c) for w, c in walk.leaves() if c <= 9]
+    extension_rows = [
+        {"word": s, "period": least_period(s), "palindromes": _pal_count(s)}
+        for s in (u * 2 + letter for u in blocks for letter in "ab")
+    ]
     return _verdict(
         "exact9",
-        problems,
+        {
+            "below_floor": ([w for w, c in low if c < 9][:8], []),
+            "exactly_nine": (sorted(w for w, c in low if c == 9), expected_squares),
+            "squares_with_other_pal_sets": (
+                [s for s in expected_squares if _pals(s) != PERIOD6_PAL_SET], []
+            ),
+            "period_breaks_below_10": (
+                [r["word"] for r in extension_rows
+                 if r["period"] != 6 and r["palindromes"] < 10],
+                [],
+            ),
+        },
         bound={"alphabet": "ab", "length": 12},
         witness={
             "squares": expected_squares,
@@ -338,16 +357,9 @@ def ten_palindrome_classes() -> dict[str, list[str]]:
             for b in "ab":
                 if least_period(a + w2) != 6 and least_period(w2 + b) == 6:
                     flanked.add(a + w2 + b)
-                if (
-                    least_period(w2 + a) == 6
-                    and least_period(w2 + a + b) != 6
-                ):
+                if least_period(w2 + a) == 6 and least_period(w2 + a + b) != 6:
                     tailed.add(w2 + a + b)
-    return {
-        "square": sq,
-        "flanked": sorted(flanked),
-        "tailed": sorted(tailed),
-    }
+    return {"square": sq, "flanked": sorted(flanked), "tailed": sorted(tailed)}
 
 
 @claim("exact10",
@@ -366,36 +378,24 @@ def verify_exact10() -> ClaimVerdict:
     classes = ten_palindrome_classes()
     walk = PalWalk(ConstraintSet(AB), 14)
     exact10 = {w for w, c in walk.leaves() if c == 10}
-    union = set().union(*classes.values())
-    problems: list = []
-    unclassified = sorted(exact10 - union)
-    extras = sorted(union - exact10)
-    if unclassified:
-        problems.append({"ten_palindromes_outside_classes": unclassified})
-    if extras:
-        problems.append({"class_members_without_ten_palindromes": extras})
-    sq = set(classes["square"])
-    flanked = set(classes["flanked"])
-    tailed = set(classes["tailed"])
-    for name, overlap in (
-        ("square/flanked", sq & flanked),
-        ("square/tailed", sq & tailed),
-        ("flanked/tailed", flanked & tailed),
-    ):
-        if overlap:
-            problems.append({f"overlap {name}": sorted(overlap)})
-    sq_a = {w * 2 for w in iso_class("aaababb", AB)}
-    sq_b = {w * 2 for w in iso_class("aababbb", AB)}
-    if sq_a != sq_b:
-        problems.append({"seven_letter_classes_differ": sorted(sq_a ^ sq_b)})
-    over_six = sorted(
-        w for w in exact10 if max(len(p) for p in _pals(w)) > 6
+    sq, flanked, tailed = (
+        set(classes[f]) for f in ("square", "flanked", "tailed")
     )
-    if over_six:
-        problems.append({"palindrome_longer_than_6": over_six})
     return _verdict(
         "exact10",
-        problems,
+        {
+            "exactly_ten": (exact10, sq | flanked | tailed),
+            "in_two_families": (
+                (sq & flanked) | (sq & tailed) | (flanked & tailed), set()
+            ),
+            "seven_letter_class_squares": (
+                {w * 2 for w in iso_class("aaababb", AB)},
+                {w * 2 for w in iso_class("aababbb", AB)},
+            ),
+            "palindrome_longer_than_6": (
+                sorted(w for w in exact10 if max(map(len, _pals(w))) > 6), []
+            ),
+        },
         bound={"alphabet": "ab", "length": 14},
         witness={"classes": classes, "exactly_ten_count": len(exact10)},
         stats={"scanned": walk.stats.leaves},
@@ -418,52 +418,30 @@ def verify_extend11() -> ClaimVerdict:
     gamma.
     """
     classes = ten_palindrome_classes()
-    problems: list = []
-    checked = 0
+    expected = {}  # extension -> stated palindrome count
     flankless_rows = []
-
     for s in classes["square"]:
         for g in "ab":
-            t = s + g
-            c = _pal_count(t)
-            checked += 1
-            if least_period(t) != 7 and c != 11:
-                problems.append({"family": "square", "word": t, "palindromes": c})
-            if least_period(t) == 7 and c != 10:
-                problems.append(
-                    {"family": "square", "word": t, "palindromes": c,
-                     "expected_periodic_count": 10}
-                )
+            expected[s + g] = 10 if least_period(s + g) == 7 else 11
     for s in classes["flanked"]:
         # A flanked word is flank letter, period-6 square, tail letter.
-        a, w2, b = s[0], s[1:-1], s[-1]
+        w2b = s[1:]
         for g in "ab":
-            if least_period(w2 + b + g) == 6:
-                continue
-            checked += 1
-            c_full = _pal_count(a + w2 + b + g)
-            if c_full != 11:
-                problems.append(
-                    {"family": "flanked", "word": a + w2 + b + g,
-                     "palindromes": c_full}
+            if least_period(w2b + g) != 6:
+                expected[s + g] = 11
+                flankless_rows.append(
+                    {"word": w2b + g, "palindromes": _pal_count(w2b + g)}
                 )
-            flankless_rows.append(
-                {"word": w2 + b + g, "palindromes": _pal_count(w2 + b + g)}
-            )
     for s in classes["tailed"]:
         for g in "ab":
-            t = s + g
-            checked += 1
-            if _pal_count(t) != 11:
-                problems.append(
-                    {"family": "tailed", "word": t, "palindromes": _pal_count(t)}
-                )
+            expected[s + g] = 11
+    wrong = {t: c for t, c in expected.items() if _pal_count(t) != c}
     return _verdict(
         "extend11",
-        problems,
+        {"palindromes": ({t: _pal_count(t) for t in wrong}, wrong)},
         bound={"alphabet": "ab", "families": sorted(classes)},
         witness={
-            "extensions_checked": checked,
+            "extensions_checked": len(expected),
             "flankless_words_stopping_at_10": flankless_rows,
         },
     )
@@ -477,34 +455,26 @@ def verify_need_squares() -> ClaimVerdict:
     palindrome sets the only ones missing aa or bb are the four exceptional
     12-element sets (witnessed by aaababaabaaa hitting the fourth).
     """
-    nonrich = []
+    nonrich = 0
     exceptional: dict[frozenset, str] = {}
     walk = PalWalk(ConstraintSet(AB), 12)
     for w, c in walk.leaves():
         if c < 13:
-            nonrich.append(w)
+            nonrich += 1
             pals = frozenset(walk.tree.palindromes()) | {""}
             if "aa" not in pals or "bb" not in pals:
                 exceptional.setdefault(pals, w)
-    problems: list = []
-    if len(nonrich) != 850:
-        problems.append({"nonrich_count": len(nonrich), "expected": 850})
-    if set(exceptional) != set(EXCEPTIONAL_PAL_SETS):
-        problems.append(
-            {"exceptional_sets_found": [sorted(s) for s in exceptional]}
-        )
-    for s in exceptional:
-        if len(s) != 12:
-            problems.append({"exceptional_set_of_wrong_size": sorted(s)})
-    witness_set = frozenset(_pals(EXCEPTIONAL_WITNESS))
-    if witness_set != EXCEPTIONAL_PAL_SETS[3]:
-        problems.append({"witness_pal_set": sorted(witness_set)})
     return _verdict(
         "need-squares",
-        problems,
+        {
+            "nonrich_count": (nonrich, 850),
+            "exceptional_sets": (set(exceptional), set(EXCEPTIONAL_PAL_SETS)),
+            "exceptional_set_sizes": ({len(s) for s in exceptional}, {12}),
+            "witness_pal_set": (_pals(EXCEPTIONAL_WITNESS), EXCEPTIONAL_PAL_SETS[3]),
+        },
         bound={"alphabet": "ab", "length": 12},
         witness={
-            "nonrich_count": len(nonrich),
+            "nonrich_count": nonrich,
             "exceptional_sets": [
                 sorted(s, key=lambda p: (len(p), p)) for s in EXCEPTIONAL_PAL_SETS
             ],
@@ -526,21 +496,10 @@ def verify_maxpal_bounds() -> ClaimVerdict:
     length 5; and under the no-aaa/no-bbb, max-length-4 regime the only
     complete first returns to aab are aababbaab and aabbabaab.
     """
-    problems: list = []
-
     cap3 = ConstraintSet(AB, pal_length_cap=3)
     depth = deepest_word(cap3, hard_cap=64)
-    if not depth.exhausted:
-        problems.append({"length_cap_3_search_hit_hard_cap": 64})
-
     power = pal_set(resolve_generator("pow:aabbab").prefix_text(600))
-    if len(power.longest) != 4:
-        problems.append({"aabbab_power_longest": power.longest})
-
     stab = stabilized_pal_set(resolve_generator("maxpal5"), cap=16384)
-    if not stab.stable or stab.pal_set != MAXPAL5_PAL_SET or len(stab.longest) != 5:
-        problems.append({"maxpal5_set": list(stab.palindromes), "flag": stab.flag})
-
     returns_scan = scan_complete_returns(
         ConstraintSet(
             AB, forbidden_factors=frozenset({"aaa", "bbb"}), pal_length_cap=4
@@ -548,28 +507,26 @@ def verify_maxpal_bounds() -> ClaimVerdict:
         "aab",
         max_len=20,
     )
-    found = sorted(returns_scan.returns)
-    if found != ["aababbaab", "aabbabaab"]:
-        problems.append({"aab_returns": found})
-
+    aab_returns = sorted(returns_scan.returns)
     return _verdict(
         "maxpal-bounds",
-        problems,
-        bound={
-            "extension_hard_cap": 64,
-            "power_prefix": 600,
-            "stabilizer_cap": 16384,
-            "returns_window": 20,
+        {
+            "length_cap_3_search_exhausted": (depth.exhausted, True),
+            "aabbab_power_longest": (len(power.longest), 4),
+            "maxpal5_flag": (stab.flag, "stable"),
+            "maxpal5_pal_set": (stab.pal_set, MAXPAL5_PAL_SET),
+            "maxpal5_longest": (len(stab.longest), 5),
+            "aab_returns": (aab_returns, ["aababbaab", "aabbabaab"]),
         },
+        bound={"extension_hard_cap": 64, "power_prefix": 600,
+               "stabilizer_cap": 16384, "returns_window": 20},
         witness={
             "longest_word_with_palindromes_le_3": depth.witness,
             "bound_length": depth.max_len,
-            "aab_returns": found,
+            "aab_returns": aab_returns,
         },
-        stats={
-            "extension": asdict(depth.stats),
-            "returns": asdict(returns_scan.stats),
-        },
+        stats={"extension": asdict(depth.stats),
+               "returns": asdict(returns_scan.stats)},
         holds=VERIFIED_UP_TO_BOUND,
     )
 
@@ -583,19 +540,16 @@ def verify_closed13() -> ClaimVerdict:
     missing reversal for factors up to length 8 within a 4096 horizon.
     """
     stream = resolve_generator("closed13")
-    problems: list = []
-    for n in range(2, 9):
-        pals = _pals(stream.term(n))
-        if pals != CLOSED13_PAL_SET:
-            problems.append({"term": n, "pal_set": sorted(pals)})
+    other_terms = [
+        n for n in range(2, 9) if _pals(stream.term(n)) != CLOSED13_PAL_SET
+    ]
     closure = reversal_closure_check(stream, k=8, horizon=4096)
-    if closure.witness_missing:
-        problems.append(
-            {"missing_reversals": [list(p) for p in closure.witness_missing]}
-        )
     return _verdict(
         "closed13",
-        problems,
+        {
+            "terms_with_other_pal_sets": (other_terms, []),
+            "missing_reversals": (closure.witness_missing, ()),
+        },
         bound={"terms": "2..8", "closure_k": 8, "closure_horizon": 4096},
         witness={
             "pal_set": sorted(CLOSED13_PAL_SET, key=lambda p: (len(p), p)),
@@ -700,21 +654,21 @@ RETURN_CLAIMS = {
 
 
 def run_return_family_claim(claim: ReturnFamilyClaim) -> ClaimVerdict:
+    """Verified up to max_len, or refuted with {"return", "host"} witnesses."""
     scan = scan_complete_returns(claim.constraints, claim.anchor, claim.max_len)
     offenders = sorted(
         r for r in scan.returns if not matches_any(r, claim.families)
     )
     matched = sorted(r for r in scan.returns if matches_any(r, claim.families))
-    return _verdict(
+    return ClaimVerdict(
         claim.claim_id,
-        [{"return": r, "host": scan.returns[r]} for r in offenders[:8]],
-        bound={"max_len": claim.max_len, "anchor": claim.anchor},
-        witness={
+        REFUTED if offenders else VERIFIED_UP_TO_BOUND,
+        {"max_len": claim.max_len, "anchor": claim.anchor},
+        [{"return": r, "host": scan.returns[r]} for r in offenders[:8]] or [{
             "families": [f.describe() for f in claim.families],
             "returns_seen": matched,
-        },
-        stats={**asdict(scan.stats), "returns_found": len(scan.returns)},
-        holds=VERIFIED_UP_TO_BOUND,
+        }],
+        {**asdict(scan.stats), "returns_found": len(scan.returns)},
     )
 
 
@@ -754,35 +708,21 @@ def verify_stream_pal_counts() -> ClaimVerdict:
     """The named streams stabilize on their expected palindrome inventories:
     counts, longest lengths, and (where the full set is pinned) exact sets.
     """
-    problems: list = []
+    checks = {}
     rows = []
     for name, (count, longest_len, exact) in sorted(STREAM_EXPECTATIONS.items()):
         stab = stabilized_pal_set(resolve_generator(name), cap=16384)
-        rows.append(
-            {
-                "stream": name,
-                "count": stab.count,
-                "longest": stab.longest,
-                "stable_horizon": stab.stable_horizon,
-                "checked_horizon": stab.checked_horizon,
-            }
-        )
-        if not stab.stable:
-            problems.append({"stream": name, "flag": stab.flag})
-        if stab.count != count or len(stab.longest) != longest_len:
-            problems.append(
-                {
-                    "stream": name,
-                    "count": stab.count,
-                    "longest": stab.longest,
-                    "expected": [count, longest_len],
-                }
-            )
-        if exact is not None and stab.pal_set != exact:
-            problems.append({"stream": name, "pal_set": list(stab.palindromes)})
+        rows.append({"stream": name, "count": stab.count, "longest": stab.longest,
+                     "stable_horizon": stab.stable_horizon,
+                     "checked_horizon": stab.checked_horizon})
+        checks[f"{name} flag"] = (stab.flag, "stable")
+        checks[f"{name} count"] = (stab.count, count)
+        checks[f"{name} longest"] = (len(stab.longest), longest_len)
+        if exact is not None:
+            checks[f"{name} pal_set"] = (stab.pal_set, exact)
     return _verdict(
         "stream-pal-counts",
-        problems,
+        checks,
         bound={"stabilizer_cap": 16384},
         witness={"streams": rows},
         holds=VERIFIED_UP_TO_BOUND,
@@ -790,13 +730,14 @@ def verify_stream_pal_counts() -> ClaimVerdict:
 
 
 CLOSURE_EXPECTATIONS = {
-    # preset -> (k, must_be_closed, witness pair that must appear), 4096 window
-    "paperfolding": (5, False, ("aaaba", "abaaa")),
-    "fib-bc": (2, False, ("bc", "cb")),
-    "fib-abbab": (5, False, ("abaaa", "aaaba")),
-    "quadfold": (6, True, None),
-    "maxpal5": (8, True, None),
-    "closed13": (8, True, None),
+    # preset -> (k, (factor, its reversal) that must be missing, or None for a
+    # window that must be closed); 4096 window
+    "paperfolding": (5, ("aaaba", "abaaa")),
+    "fib-bc": (2, ("bc", "cb")),
+    "fib-abbab": (5, ("abaaa", "aaaba")),
+    "quadfold": (6, None),
+    "maxpal5": (8, None),
+    "closed13": (8, None),
 }
 
 
@@ -808,28 +749,22 @@ def verify_closure_checks() -> ClaimVerdict:
     no missing reversal, while the paperfolding word and the two Fibonacci
     images each miss a specific short factor's reversal.
     """
-    problems: list = []
+    checks = {}
     rows = []
-    for name, (k, closed, pair) in sorted(CLOSURE_EXPECTATIONS.items()):
+    for name, (k, pair) in sorted(CLOSURE_EXPECTATIONS.items()):
         report = reversal_closure_check(resolve_generator(name), k=k)
-        rows.append(
-            {
-                "stream": name,
-                "k": k,
-                "missing": len(report.witness_missing),
-                "closed_up_to": report.closed_up_to,
-            }
-        )
-        if closed and report.witness_missing:
-            problems.append(
-                {"stream": name,
-                 "unexpected_missing": [list(p) for p in report.witness_missing[:4]]}
+        missing = report.witness_missing
+        rows.append({"stream": name, "k": k, "missing": len(missing),
+                     "closed_up_to": report.closed_up_to})
+        if pair is None:
+            checks[f"{name} missing"] = (missing[:4], ())
+        else:
+            checks[f"{name} misses {pair[1]}, the reversal of {pair[0]}"] = (
+                pair in missing, True
             )
-        if not closed and pair is not None and pair not in report.witness_missing:
-            problems.append({"stream": name, "expected_missing_pair": list(pair)})
     return _verdict(
         "closure-checks",
-        problems,
+        checks,
         bound={"horizon": 4096},
         witness={"streams": rows},
         holds=VERIFIED_UP_TO_BOUND,

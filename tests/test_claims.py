@@ -8,6 +8,7 @@ import pytest
 
 from palindromics import (
     ClaimVerdict,
+    claims,
     manifest,
     replay_return_witness,
     run_all,
@@ -156,3 +157,89 @@ class TestReturnClaims:
         v = run_return_family_claim(claim)
         assert v.status == "verified-up-to-bound"
         assert v.bound["max_len"] == 24
+
+
+def _binary_floor_of_8(mp):
+    scan = claims.scan_min_palindromes
+    mp.setattr(
+        claims, "scan_min_palindromes", lambda *a, **k: (8, *scan(*a, **k)[1:])
+    )
+
+
+def _ten_classes(change):
+    def perturb(mp):
+        classes = claims.ten_palindrome_classes()
+        changed = {**classes, **change(classes)}
+        mp.setattr(claims, "ten_palindrome_classes", lambda: changed)
+
+    return perturb
+
+
+# One perturbation of each one-off claim's stated data, with the check it
+# must fail.
+REFUTATIONS = [
+    pytest.param("rich9", _binary_floor_of_8, "min_palindromes", id="rich9"),
+    pytest.param("min4", _binary_floor_of_8, "binary_floor_at_12", id="min4"),
+    pytest.param(
+        "exact9",
+        lambda mp: mp.setattr(claims, "PERIOD6_PAL_SET", frozenset()),
+        "squares_with_other_pal_sets",
+        id="exact9",
+    ),
+    pytest.param(
+        "exact10", _ten_classes(lambda c: {"tailed": []}), "exactly_ten",
+        id="exact10",
+    ),
+    pytest.param(
+        "extend11",
+        _ten_classes(lambda c: {"tailed": c["tailed"] + c["square"][:1]}),
+        "palindromes",
+        id="extend11",
+    ),
+    pytest.param(
+        "need-squares",
+        lambda mp: mp.setattr(claims, "EXCEPTIONAL_WITNESS", "a" * 12),
+        "witness_pal_set",
+        id="need-squares",
+    ),
+    pytest.param(
+        "maxpal-bounds",
+        lambda mp: mp.setattr(
+            claims, "MAXPAL5_PAL_SET", claims.MAXPAL5_PAL_SET - {"bbabb"}
+        ),
+        "maxpal5_pal_set",
+        id="maxpal-bounds",
+    ),
+    pytest.param(
+        "closed13",
+        lambda mp: mp.setattr(
+            claims, "CLOSED13_PAL_SET", claims.CLOSED13_PAL_SET | {"bbb"}
+        ),
+        "terms_with_other_pal_sets",
+        id="closed13",
+    ),
+    pytest.param(
+        "stream-pal-counts",
+        lambda mp: mp.setitem(
+            claims.STREAM_EXPECTATIONS, "fib-bc", (5, 2, frozenset({"", "bb"}))
+        ),
+        "fib-bc pal_set",
+        id="stream-pal-counts",
+    ),
+    pytest.param(
+        "closure-checks",
+        lambda mp: mp.setitem(claims.CLOSURE_EXPECTATIONS, "fib-bc", (2, None)),
+        "fib-bc missing",
+        id="closure-checks",
+    ),
+]
+
+
+@pytest.mark.parametrize("cid, perturb, check", REFUTATIONS)
+def test_one_off_claims_refute_perturbed_data(cid, perturb, check, monkeypatch):
+    assert run_claim(cid).ok
+    perturb(monkeypatch)
+    v = run_claim(cid)
+    assert v.status == "refuted"
+    assert any(check in w for w in v.witnesses), v.witnesses
+    json.dumps(v.to_record())

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import palindromics.cli
+from palindromics import claims
 from palindromics.analysis import PalReport, StabilizedPalSet
 from palindromics.claims import ClaimVerdict
 from palindromics.cli import main
@@ -277,6 +278,24 @@ def test_verify_json(capsys):
     assert code == 0
     [record] = json.loads(out)
     assert record["status"] == "verified"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_refuted_claim_exits_1(capsys, monkeypatch, fmt):
+    # A stated palindrome set that fib-bc does not have refutes the claim.
+    monkeypatch.setitem(
+        claims.STREAM_EXPECTATIONS, "fib-bc", (5, 2, frozenset({"", "bb"}))
+    )
+    code, out, _ = run_cli(capsys, "verify", "stream-pal-counts", "--format", fmt)
+    assert code == 1
+    if fmt == "text":
+        assert out.startswith("stream-pal-counts: refuted")
+        assert "\n  witness: {'fib-bc pal_set': " in out
+    else:
+        [record] = json.loads(out)
+        assert record["status"] == "refuted"
+        witness = {"fib-bc pal_set": ["", "a", "aa", "b", "c"], "expected": ["", "bb"]}
+        assert witness in record["witnesses"]
 
 
 def test_verify_unknown_claim(capsys):
