@@ -3,9 +3,12 @@
 Every command honours --format text|json, and stdout is written only by
 _emit: a command hands it a zero-argument callable that builds the JSON
 record and the text lines, and _emit calls or iterates only the one asked
-for. Errors go to stderr. Exit codes: 0 success/verified, 1 refuted claim,
-2 usage error, 141 (128 + SIGPIPE) when the reader closed stdout early, as
-in ``| head``; that exit prints nothing to stderr.
+for. JSON goes through json's own encoder, and an iterator in a record (a
+listing of palindromes or words) is written as a list while it is consumed,
+through _Listed, a list subclass because the encoder iterates only lists.
+Errors go to stderr. Exit codes: 0 success/verified, 1 refuted claim, 2
+usage error, 141 (128 + SIGPIPE) when the reader closed stdout early, as in
+``| head``; that exit prints nothing to stderr.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 
 from .analysis import (
     complete_first_returns,
@@ -32,36 +35,30 @@ from .search import enumerate_words
 from .words import alphabet, alphabet_of, least_period
 
 
-def _json_chunks(value: object, head: str = "", indent: str = "\n") -> Iterator[str]:
-    """The text of json.dumps(value, sort_keys=True, indent=2), in pieces.
+class _Listed(list):
+    """An iterator in a record, which json's encoder writes as a list.
 
-    head is written just before value, in its first piece; indent is the
-    line break and indentation of value's own line. Dicts and lists are laid
-    out here, and any other iterator is written as a list, item by item, so
-    a report can stream its palindromes. Keys and scalars go through
-    json.dumps, and so through json's own escaper. A string item goes out in
-    one piece with the separator before it.
+    A list subclass, because the encoder iterates only lists (and tuples),
+    after asking once whether one is empty. Its own content is the one item
+    read ahead, which answers that question; its iteration yields that item
+    and then the rest of the iterator, as the encoder consumes them.
     """
-    if isinstance(value, dict):
-        items = ((json.dumps(k) + ": ", v) for k, v in sorted(value.items()))
-        brackets = "{}"
-    elif isinstance(value, (list, tuple, Iterator)):
-        items = (("", v) for v in value)
-        brackets = "[]"
-    else:
-        yield head + json.dumps(value)
-        return
-    inner = indent + "  "
-    sep = head + brackets[0] + inner
-    empty = True
-    for key, item in items:
-        if isinstance(item, str):
-            yield sep + key + json.dumps(item)
-        else:
-            yield from _json_chunks(item, sep + key, inner)
-        sep = "," + inner
-        empty = False
-    yield head + brackets if empty else indent + brackets[1]
+
+    def __init__(self, items: Iterator) -> None:
+        super().__init__(islice(items, 1))
+        self._items = items
+
+    def __iter__(self) -> Iterator:
+        return chain(super().__iter__(), self._items)
+
+
+def _default(value: object) -> _Listed:
+    if isinstance(value, Iterator):
+        return _Listed(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_JSON = json.JSONEncoder(sort_keys=True, indent=2, default=_default)
 
 
 def _emit(
@@ -70,15 +67,16 @@ def _emit(
     """Print record() as indented JSON, or print lines: the only stdout writer.
 
     record is called only for JSON, and lines is iterated only for text, so
-    neither format builds what the other prints. The JSON is the text of
-    json.dump(record(), sort_keys=True, indent=2), written piece by piece,
-    with any iterator in the record written as a list as it is consumed, so
+    neither format builds what the other prints. The JSON is written in the
+    pieces of _JSON.iterencode(record()), the text of json.dumps with the
+    same options, and an iterator in it as a list while it is consumed (by
+    _Listed, a list subclass since the encoder iterates only lists), so
     neither path holds a listing whole. A line is a str, or an iterable of
     parts written one by one, separated by spaces, without joining them.
     """
     write = sys.stdout.write
     if fmt == "json":
-        for chunk in _json_chunks(record()):
+        for chunk in _JSON.iterencode(record()):
             write(chunk)
         write("\n")
         return
@@ -107,7 +105,8 @@ def _parse_filter(expr: str | None):
     """Filter expressions: comma-separated clauses, all of which must hold.
 
     Clauses: rich | nonrich | palcount==N | palcount<=N | palcount>=N
-    | contains:<word> | avoids:<word> | period==N | maxpal<=N
+    | contains:<word> | avoids:<word> | period==N | maxpal<=N, where a
+    word is non-empty and over a..h.
 
     Clauses on the word run first; the clauses on its palindromes then share
     one pal_set report, built only for words that passed the others.
@@ -129,12 +128,12 @@ def _parse_filter(expr: str | None):
                 raise ValueError(f"bad palcount clause {clause!r}")
             n = _clause_int(clause, clause[len("palcount") + 2 :])
             on_report.append(lambda r, c=compare, n=n: c(r.count, n))
-        elif clause.startswith("contains:"):
-            needle = clause.split(":", 1)[1]
-            on_word.append(lambda w, s=needle: s in w)
-        elif clause.startswith("avoids:"):
-            needle = clause.split(":", 1)[1]
-            on_word.append(lambda w, s=needle: s not in w)
+        elif clause.startswith(("contains:", "avoids:")):
+            kind, _, needle = clause.partition(":")
+            if not needle:
+                raise ValueError(f"bad filter clause {clause!r}")
+            alphabet_of(needle)  # raises on a letter outside a..h
+            on_word.append(lambda w, s=needle, c=kind == "contains": (s in w) == c)
         elif clause.startswith("period=="):
             n = _clause_int(clause, clause.split("==", 1)[1])
             on_word.append(lambda w, n=n: least_period(w) == n)

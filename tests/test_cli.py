@@ -82,8 +82,10 @@ _SCALARS = (
 )
 _JSON_VALUES = st.recursive(
     _SCALARS,
+    # Int and str keys stay in separate dicts: json.dumps cannot sort both.
     lambda inner: st.lists(inner, max_size=4)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4)
+    | st.dictionaries(st.integers(), inner, max_size=4),
     max_leaves=20,
 )
 
@@ -102,9 +104,12 @@ def _as_iterators(value, data):
 @given(_JSON_VALUES, st.data())
 def test_json_writer_matches_json_dumps(value, data):
     expected = json.dumps(value, sort_keys=True, indent=2)
-    assert "".join(palindromics.cli._json_chunks(value)) == expected
+    assert "".join(palindromics.cli._JSON.iterencode(value)) == expected
     streamed = _as_iterators(value, data)
-    assert "".join(palindromics.cli._json_chunks(streamed)) == expected
+    assert "".join(palindromics.cli._JSON.iterencode(streamed)) == expected
+    # Any other value is refused with json.dumps's own error.
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        "".join(palindromics.cli._JSON.iterencode([value, {0}]))
 
 
 class _CountingSink:
@@ -394,6 +399,10 @@ BAD_LETTERS = [
      "letter 'i' is not one of 'abcdefgh'"),
     (["enumerate", "--alphabet", "0", "--n", "2"], "alphabet size must be 1..8, got 0"),
     (["enumerate", "--alphabet", "9", "--n", "2"], "alphabet size must be 1..8, got 9"),
+    (["enumerate", "--alphabet", "ab", "--n", "2", "--filter", "contains:z"],
+     "letter 'z' is not one of 'abcdefgh'"),
+    (["enumerate", "--alphabet", "ab", "--n", "2", "--filter", "rich,avoids:zz"],
+     "letter 'z' is not one of 'abcdefgh'"),
 ]
 
 
@@ -504,8 +513,9 @@ def test_enumerate_bad_filter_exit_2(capsys):
         "--filter", "sparkly",
     )
     assert code == 2
-    # A clause whose number is not an integer is named in the message.
-    for clause in ("palcount==x", "period==", "maxpal<=2.5"):
+    # A clause whose number is not an integer, or whose word is empty, is
+    # named in the message.
+    for clause in ("palcount==x", "period==", "maxpal<=2.5", "contains:", "avoids:"):
         code, out, err = run_cli(
             capsys, "enumerate", "--alphabet", "ab", "--n", "3",
             "--filter", f"rich,{clause}",
