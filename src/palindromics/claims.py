@@ -32,7 +32,7 @@ from .analysis import (
     stabilized_pal_set,
 )
 from .generators import resolve_generator
-from .paltree import PalTree
+from .paltree import PalTree  # unused here; perfbench/tracing.py wraps claims.PalTree
 from .search import (
     ConstraintSet,
     FamilyTemplate,
@@ -179,14 +179,6 @@ def _plain(value):
     return value
 
 
-def _pals(s: str) -> set[str]:
-    return set(PalTree(s).palindromes()) | {""}
-
-
-def _pal_count(s: str) -> int:
-    return PalTree(s).distinct_palindromes + 1
-
-
 def scan_min_palindromes(
     alphabet: str, n: int, word_filter=None
 ) -> tuple[int, list[str], int]:
@@ -308,7 +300,7 @@ def verify_exact9() -> ClaimVerdict:
     walk = PalWalk(ConstraintSet(AB), 12)
     low = [(w, c) for w, c in walk.leaves() if c <= 9]
     extension_rows = [
-        {"word": s, "period": least_period(s), "palindromes": _pal_count(s)}
+        {"word": s, "period": least_period(s), "palindromes": pal_set(s).count}
         for s in (u * 2 + letter for u in blocks for letter in "ab")
     ]
     return _verdict(
@@ -317,7 +309,8 @@ def verify_exact9() -> ClaimVerdict:
             "below_floor": ([w for w, c in low if c < 9][:8], []),
             "exactly_nine": (sorted(w for w, c in low if c == 9), expected_squares),
             "squares_with_other_pal_sets": (
-                [s for s in expected_squares if _pals(s) != PERIOD6_PAL_SET], []
+                [s for s in expected_squares if pal_set(s).pal_set != PERIOD6_PAL_SET],
+                [],
             ),
             "period_breaks_below_10": (
                 [r["word"] for r in extension_rows
@@ -377,14 +370,15 @@ def verify_exact10() -> ClaimVerdict:
     """
     classes = ten_palindrome_classes()
     walk = PalWalk(ConstraintSet(AB), 14)
-    exact10 = {w for w, c in walk.leaves() if c == 10}
+    exact10 = {w: max(map(len, walk.tree.palindromes()))
+               for w, c in walk.leaves() if c == 10}
     sq, flanked, tailed = (
         set(classes[f]) for f in ("square", "flanked", "tailed")
     )
     return _verdict(
         "exact10",
         {
-            "exactly_ten": (exact10, sq | flanked | tailed),
+            "exactly_ten": (set(exact10), sq | flanked | tailed),
             "in_two_families": (
                 (sq & flanked) | (sq & tailed) | (flanked & tailed), set()
             ),
@@ -393,7 +387,7 @@ def verify_exact10() -> ClaimVerdict:
                 {w * 2 for w in iso_class("aababbb", AB)},
             ),
             "palindrome_longer_than_6": (
-                sorted(w for w in exact10 if max(map(len, _pals(w))) > 6), []
+                sorted(w for w, n in exact10.items() if n > 6), []
             ),
         },
         bound={"alphabet": "ab", "length": 14},
@@ -430,15 +424,16 @@ def verify_extend11() -> ClaimVerdict:
             if least_period(w2b + g) != 6:
                 expected[s + g] = 11
                 flankless_rows.append(
-                    {"word": w2b + g, "palindromes": _pal_count(w2b + g)}
+                    {"word": w2b + g, "palindromes": pal_set(w2b + g).count}
                 )
     for s in classes["tailed"]:
         for g in "ab":
             expected[s + g] = 11
-    wrong = {t: c for t, c in expected.items() if _pal_count(t) != c}
+    found = {t: pal_set(t).count for t in expected}
+    wrong = {t: c for t, c in found.items() if c != expected[t]}
     return _verdict(
         "extend11",
-        {"palindromes": ({t: _pal_count(t) for t in wrong}, wrong)},
+        {"palindromes": (wrong, {t: expected[t] for t in wrong})},
         bound={"alphabet": "ab", "families": sorted(classes)},
         witness={
             "extensions_checked": len(expected),
@@ -470,7 +465,9 @@ def verify_need_squares() -> ClaimVerdict:
             "nonrich_count": (nonrich, 850),
             "exceptional_sets": (set(exceptional), set(EXCEPTIONAL_PAL_SETS)),
             "exceptional_set_sizes": ({len(s) for s in exceptional}, {12}),
-            "witness_pal_set": (_pals(EXCEPTIONAL_WITNESS), EXCEPTIONAL_PAL_SETS[3]),
+            "witness_pal_set": (
+                pal_set(EXCEPTIONAL_WITNESS).pal_set, EXCEPTIONAL_PAL_SETS[3]
+            ),
         },
         bound={"alphabet": "ab", "length": 12},
         witness={
@@ -541,7 +538,7 @@ def verify_closed13() -> ClaimVerdict:
     """
     stream = resolve_generator("closed13")
     other_terms = [
-        n for n in range(2, 9) if _pals(stream.term(n)) != CLOSED13_PAL_SET
+        n for n in range(2, 9) if pal_set(stream.term(n)).pal_set != CLOSED13_PAL_SET
     ]
     closure = reversal_closure_check(stream, k=8, horizon=4096)
     return _verdict(
@@ -656,10 +653,9 @@ RETURN_CLAIMS = {
 def run_return_family_claim(claim: ReturnFamilyClaim) -> ClaimVerdict:
     """Verified up to max_len, or refuted with {"return", "host"} witnesses."""
     scan = scan_complete_returns(claim.constraints, claim.anchor, claim.max_len)
-    offenders = sorted(
-        r for r in scan.returns if not matches_any(r, claim.families)
-    )
-    matched = sorted(r for r in scan.returns if matches_any(r, claim.families))
+    offenders, matched = [], []
+    for r in sorted(scan.returns):
+        (matched if matches_any(r, claim.families) else offenders).append(r)
     return ClaimVerdict(
         claim.claim_id,
         REFUTED if offenders else VERIFIED_UP_TO_BOUND,

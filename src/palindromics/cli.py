@@ -106,7 +106,7 @@ def _parse_filter(expr: str | None):
 
     Clauses: rich | nonrich | palcount==N | palcount<=N | palcount>=N
     | contains:<word> | avoids:<word> | period==N | maxpal<=N, where a
-    word is non-empty and over a..h.
+    word is non-empty and over a..h. period==N never matches the empty word.
 
     Clauses on the word run first; the clauses on its palindromes then share
     one pal_set report, built only for words that passed the others.
@@ -136,7 +136,7 @@ def _parse_filter(expr: str | None):
             on_word.append(lambda w, s=needle, c=kind == "contains": (s in w) == c)
         elif clause.startswith("period=="):
             n = _clause_int(clause, clause.split("==", 1)[1])
-            on_word.append(lambda w, n=n: least_period(w) == n)
+            on_word.append(lambda w, n=n: w != "" and least_period(w) == n)
         elif clause.startswith("maxpal<="):
             n = _clause_int(clause, clause.split("<=", 1)[1])
             on_report.append(lambda r, n=n: len(r.longest) <= n)

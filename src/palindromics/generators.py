@@ -43,7 +43,8 @@ class FixedPointStream(PrefixStream):
     as many letters as it reads, so prefix_text(n) takes time linear in n,
     even for a slowly growing morphism such as a->ab, b->b, which adds one
     letter a round. The text holds at most m * n letters, m being the
-    longest image length.
+    longest image length. A fixed point needs a morphism from its alphabet
+    to itself: an image letter with no rule is a ValueError, reached or not.
     """
 
     def __init__(self, morphism: Morphism, seed: str) -> None:
@@ -51,6 +52,9 @@ class FixedPointStream(PrefixStream):
             raise ValueError(
                 f"morphism {morphism.describe()} is not prolongable at {seed!r}"
             )
+        extra = ", ".join(map(repr, morphism.target[len(morphism.source) :]))
+        if extra:  # image letters with no rule
+            raise ValueError(f"morphism {morphism.describe()} has no rule for {extra}")
         super().__init__(morphism.target)
         self.morphism = morphism
         self.seed = seed
@@ -255,7 +259,8 @@ def resolve_generator(ref: str) -> PrefixStream:
     defaults to rev and alphabet to the letters of U0 and the inserts; any
     other key, or a key given twice, is an error, and so is a fix whose
     last argument is a rule rather than a seed. Anything else, an unclosed
-    call included, raises UnknownGeneratorError.
+    call included, raises UnknownGeneratorError; a fix whose images hold a
+    letter with no rule, as in fix(a->ab,a), raises ValueError.
     """
     ref = ref.strip()
     if ref in PRESETS:

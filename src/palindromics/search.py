@@ -75,10 +75,6 @@ class ConstraintSet:
     def assumed_with_epsilon(self) -> frozenset[str]:
         return self.assumed_palindromes | {""}
 
-    def charged_count(self, pals: set[str]) -> int:
-        """Distinct palindromes charged to the budget (union with assumed)."""
-        return len(self.assumed_with_epsilon() | pals)
-
     def satisfies(self, s: str) -> bool:
         """Full non-incremental check of every constraint, required factors
         included; used by oracles and witness replay."""
@@ -90,7 +86,8 @@ class ConstraintSet:
         cap, budget = self.pal_length_cap, self.pal_budget
         if cap is not None and len(report.longest) > cap:
             return False
-        return budget is None or self.charged_count(report.pal_set) <= budget
+        charged = self.assumed_with_epsilon() | report.pal_set
+        return budget is None or len(charged) <= budget
 
 
 def palindromes_of_length(alphabet: str, length: int) -> set[str]:

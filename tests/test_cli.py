@@ -64,6 +64,7 @@ def test_pal_word_json_round_trip(capsys):
         ["verify", "list"],
         ["enumerate", "--alphabet", "ab", "--n", "4"],
         ["enumerate", "--alphabet", "ab", "--n", "4", "--filter", "palcount>=99"],
+        ["enumerate", "--alphabet", "ab", "--n", "0", "--filter", "period==1"],
     ],
     ids=" ".join,
 )
@@ -395,6 +396,12 @@ BAD_LETTERS = [
     (["gen", "--gen", "image(a->x,b->b,fib)"],
      "letter 'x' is not one of 'abcdefgh'"),
     (["gen", "--gen", "fix(a->ay,y->a,a)"], "letter 'y' is not one of 'abcdefgh'"),
+    (["gen", "--gen", "fix(a->ab,a)"], "morphism a->ab has no rule for 'b'"),
+    (["gen", "--gen", "fix(a->abc,b->a,a)"],
+     "morphism a->abc,b->a has no rule for 'c'"),
+    # Rejected even though the seed never reaches c: a fixed point needs a
+    # morphism from its alphabet to itself.
+    (["gen", "--gen", "fix(a->aa,b->c,a)"], "morphism a->aa,b->c has no rule for 'c'"),
     (["enumerate", "--alphabet", "ai", "--n", "2"],
      "letter 'i' is not one of 'abcdefgh'"),
     (["enumerate", "--alphabet", "0", "--n", "2"], "alphabet size must be 1..8, got 0"),

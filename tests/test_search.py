@@ -1,5 +1,7 @@
 """Constraint search engines: pruning soundness, families, enumeration."""
 
+from dataclasses import replace
+
 import pytest
 
 from palindromics import (
@@ -11,6 +13,7 @@ from palindromics import (
     forbid_other_palindromes,
     scan_complete_returns,
 )
+from palindromics.claims import RETURN_CLAIMS
 from palindromics.search import (
     PalWalk,
     low_palindrome_words,
@@ -128,6 +131,12 @@ class TestPruningSoundness:
                 forbidden_factors=frozenset({"aaaa"}),
                 pal_budget=9,
                 pal_length_cap=5,
+            ),
+            # Budgets charged with assumed palindromes. The walk leaves
+            # required factors to its consumer, so they are dropped here.
+            *(
+                replace(RETURN_CLAIMS[cid].constraints, required_factors=frozenset())
+                for cid in ("returns-abaaab", "returns-baaab")
             ),
         ],
     )
