@@ -3,12 +3,13 @@
 Every command honours --format text|json, and stdout is written only by
 _emit: a command hands it a zero-argument callable that builds the JSON
 record and the text lines, and _emit calls or iterates only the one asked
-for. JSON goes through json's own encoder, and an iterator in a record (a
-listing of palindromes or words) is written as a list while it is consumed,
-through _Listed, a list subclass because the encoder iterates only lists.
-Errors go to stderr. Exit codes: 0 success/verified, 1 refuted claim, 2
-usage error, 141 (128 + SIGPIPE) when the reader closed stdout early, as in
-``| head``; that exit prints nothing to stderr.
+for. JSON is laid out by json's own encoder. A listing of palindromes or
+words in a record is a _Words: its letters are checked once to be in a..h,
+before any output, so its words need no escaping and are written as
+themselves, in the layout the encoder gives the list, while they are
+consumed. Errors go to stderr. Exit codes: 0 success/verified, 1 refuted
+claim, 2 usage error, 141 (128 + SIGPIPE) when the reader closed stdout
+early, as in ``| head``; that exit prints nothing to stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict
 from functools import partial
-from itertools import chain, islice
+from itertools import chain
 
 from .analysis import (
     complete_first_returns,
@@ -32,33 +33,22 @@ from .analysis import (
 from .claims import CLAIMS, manifest, run_all, run_claim
 from .generators import UnknownGeneratorError, preset_names, resolve_generator
 from .search import enumerate_words
-from .words import alphabet, alphabet_of, least_period
+from .words import SYMBOLS, alphabet, alphabet_of, least_period
 
 
-class _Listed(list):
-    """An iterator in a record, which json's encoder writes as a list.
+class _Words:
+    """A listing for _emit: an iterator of words over a..h, which it writes
+    to JSON as themselves.
 
-    A list subclass, because the encoder iterates only lists (and tuples),
-    after asking once whether one is empty. Its own content is the one item
-    read ahead, which answers that question; its iteration yields that item
-    and then the rest of the iterator, as the encoder consumes them.
+    letters holds every letter the words use: the text they are slices of,
+    or their alphabet. It is checked here, once, before any output, so no
+    word needs json's per-character escaping.
     """
 
-    def __init__(self, items: Iterator) -> None:
-        super().__init__(islice(items, 1))
-        self._items = items
-
-    def __iter__(self) -> Iterator:
-        return chain(super().__iter__(), self._items)
-
-
-def _default(value: object) -> _Listed:
-    if isinstance(value, Iterator):
-        return _Listed(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-_JSON = json.JSONEncoder(sort_keys=True, indent=2, default=_default)
+    def __init__(self, words: Iterable[str], letters: str) -> None:
+        if letters.strip(SYMBOLS):  # a letter outside a..h is left
+            alphabet_of(letters)  # raises, naming the first one
+        self.words = iter(words)
 
 
 def _emit(
@@ -67,17 +57,41 @@ def _emit(
     """Print record() as indented JSON, or print lines: the only stdout writer.
 
     record is called only for JSON, and lines is iterated only for text, so
-    neither format builds what the other prints. The JSON is written in the
-    pieces of _JSON.iterencode(record()), the text of json.dumps with the
-    same options, and an iterator in it as a list while it is consumed (by
-    _Listed, a list subclass since the encoder iterates only lists), so
-    neither path holds a listing whole. A line is a str, or an iterable of
-    parts written one by one, separated by spaces, without joining them.
+    neither format builds what the other prints. The JSON is the text of
+    json.dumps(record(), sort_keys=True, indent=2), laid out by json's own
+    encoder and written in its pieces. A listing (_Words, its letters
+    checked once) reaches the encoder as the placeholder [""], or [] when
+    it is empty. The chunk that opens the placeholder, "[" with the newline
+    and indent and then "", gives the layout, and the words are written in
+    it as themselves, one per write, as they are consumed: no listing is
+    held whole or escaped. Any other value json cannot write, a bare
+    iterator too, raises json's TypeError. A line is a str, or an iterable
+    of parts written one by one, separated by spaces, without joining them.
     """
     write = sys.stdout.write
     if fmt == "json":
-        for chunk in _JSON.iterencode(record()):
-            write(chunk)
+        opened: list[Iterator[str]] = []
+
+        def default(value: object) -> list:
+            if not isinstance(value, _Words):
+                return json.JSONEncoder.default(encoder, value)  # raises TypeError
+            first = next(value.words, None)
+            if first is None:
+                return []
+            opened.append(chain((first,), value.words))
+            return [""]
+
+        encoder = json.JSONEncoder(sort_keys=True, indent=2, default=default)
+        for chunk in encoder.iterencode(record()):
+            if not opened:
+                write(chunk)
+                continue
+            # default has just met a listing, and chunk opens its placeholder.
+            head, between = chunk[:-1], '"' + encoder.item_separator + chunk[1:-1]
+            for word in opened.pop():
+                write(head + word)
+                head = between
+            write('"')
         write("\n")
         return
     for line in lines:
@@ -165,8 +179,17 @@ def _listing(report, *head: str) -> Iterator[str | Iterator[str]]:
     yield chain(("palindromes:",), (p or "~" for p in report.iter_palindromes()))
 
 
+def _report_record(report) -> dict:
+    """report's JSON record, its palindromes a listing of slices of its text."""
+    record = report.to_record()
+    record["palindromes"] = _Words(record["palindromes"], report.tree.text)
+    return record
+
+
 def _cmd_pal(args) -> int:
     if args.word is not None:
+        if args.horizon is not None:
+            raise ValueError("--horizon needs --gen; a --word is read whole")
         alphabet_of(args.word)  # raises on a letter outside a..h
         report = pal_set(args.word)
         lines = _listing(
@@ -189,7 +212,7 @@ def _cmd_pal(args) -> int:
             f"stable at horizon {report.stable_horizon}, "
             f"checked to {report.checked_horizon}",
         )
-    _emit(args.format, report.to_record, lines)
+    _emit(args.format, partial(_report_record, report), lines)
     return 0
 
 
@@ -266,7 +289,7 @@ def _cmd_enumerate(args) -> int:
         yield f"# {shown} word(s)"
 
     record = partial(dict, alphabet=symbols, n=args.n, dedupe=args.dedupe,
-                     filter=args.filter, words=words)
+                     filter=args.filter, words=_Words(words, symbols))
     _emit(args.format, record, lines())
     return 0
 

@@ -1,11 +1,13 @@
 """Command-line behaviour: outputs, exit codes, structured records."""
 
 import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -65,6 +67,8 @@ def test_pal_word_json_round_trip(capsys):
         ["enumerate", "--alphabet", "ab", "--n", "4"],
         ["enumerate", "--alphabet", "ab", "--n", "4", "--filter", "palcount>=99"],
         ["enumerate", "--alphabet", "ab", "--n", "0", "--filter", "period==1"],
+        ["enumerate", "--alphabet", "a", "--n", "3"],
+        ["enumerate", "--alphabet", "a", "--n", "0"],
     ],
     ids=" ".join,
 )
@@ -81,36 +85,80 @@ _SCALARS = (
     | st.text(alphabet=st.sampled_from('ab"\\/\x00\x1f\x7f\u00e9\u2028\U0001f600'))
     | st.text()
 )
+_WORDS = st.text(alphabet="abcdefgh", max_size=5)
 _JSON_VALUES = st.recursive(
     _SCALARS,
     # Int and str keys stay in separate dicts: json.dumps cannot sort both.
+    # Lists of words over a..h may be drawn as word listings.
     lambda inner: st.lists(inner, max_size=4)
+    | st.lists(_WORDS, max_size=4)
     | st.dictionaries(st.text(max_size=3), inner, max_size=4)
     | st.dictionaries(st.integers(), inner, max_size=4),
     max_leaves=20,
 )
 
 
-def _as_iterators(value, data):
-    """value with each list drawn as a list, a tuple or a one-pass iterator."""
+def _as_listings(value, data):
+    """value with each list drawn as a list, a tuple or, when it holds only
+    words over a..h, a word listing of them."""
     if isinstance(value, dict):
-        return {k: _as_iterators(v, data) for k, v in value.items()}
+        return {k: _as_listings(v, data) for k, v in value.items()}
     if isinstance(value, list):
-        items = [_as_iterators(v, data) for v in value]
-        return data.draw(st.sampled_from((list, tuple, iter)))(items)
+        items = [_as_listings(v, data) for v in value]
+        kinds = [list, tuple]
+        if all(isinstance(w, str) and not w.strip("abcdefgh") for w in items):
+            letters = data.draw(st.sampled_from(("abcdefgh", "".join(items))))
+            kinds.append(lambda words: palindromics.cli._Words(words, letters))
+        return data.draw(st.sampled_from(kinds))(items)
     return value
+
+
+def _emitted(value) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        palindromics.cli._emit("json", lambda: value, ())
+    return out.getvalue()
 
 
 @settings(max_examples=300, deadline=None)
 @given(_JSON_VALUES, st.data())
 def test_json_writer_matches_json_dumps(value, data):
-    expected = json.dumps(value, sort_keys=True, indent=2)
-    assert "".join(palindromics.cli._JSON.iterencode(value)) == expected
-    streamed = _as_iterators(value, data)
-    assert "".join(palindromics.cli._JSON.iterencode(streamed)) == expected
-    # Any other value is refused with json.dumps's own error.
-    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
-        "".join(palindromics.cli._JSON.iterencode([value, {0}]))
+    expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert _emitted(value) == expected
+    assert _emitted(_as_listings(value, data)) == expected
+    # Any other value, a bare iterator too, is refused with json's own error.
+    for other, name in (({0}, "set"), (iter([]), "list_iterator")):
+        with pytest.raises(
+            TypeError, match=f"^Object of type {name} is not JSON serializable$"
+        ):
+            _emitted([value, other])
+
+
+@pytest.mark.parametrize(
+    "words", [[], ["aab"], [""], ["", "a", "b", "aa", "aba"], ["hgf", "", "abc"]]
+)
+def test_json_writer_lays_out_word_listings(words):
+    # Empty, one word, and "" first, as in every report; top level, and
+    # nested at two depths as in the records.
+    value = {"k": [0, {"words": words}], "words": words}
+    expected = json.dumps(value, sort_keys=True, indent=2) + "\n"
+    listing = partial(palindromics.cli._Words, letters="abcdefgh")
+    streamed = {"k": [0, {"words": listing(iter(words))}], "words": listing(words)}
+    assert _emitted(streamed) == expected
+    assert _emitted(listing(words)) == json.dumps(words, indent=2) + "\n"
+
+
+def test_json_writer_refuses_a_listing_outside_a_to_h_before_output():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(
+        ValueError, match="^letter 'x' is not one of 'abcdefgh'$"
+    ):
+        palindromics.cli._emit(
+            "json",
+            lambda: {"a": 1, "words": palindromics.cli._Words(["ab"], "abxa")},
+            (),
+        )
+    assert out.getvalue() == ""
 
 
 class _CountingSink:
@@ -170,6 +218,36 @@ def test_enumerate_json_peak_memory_independent_of_the_word_count():
     assert code == 0
     assert sink.chars > 1_500_000
     assert peak <= 1_000_000, (peak, sink.chars)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pal", "--gen", "fibonacci", "--horizon", "4000", "--format", "json"],
+        ["enumerate", "--alphabet", "ab", "--n", "16", "--format", "json"],
+    ],
+    ids=" ".join,
+)
+def test_json_listings_are_not_escaped_word_by_word(monkeypatch, argv):
+    # json's encoder looks encode_basestring_ascii up on each iterencode
+    # call, so the wrapper sees every str it escapes. Escaping every word of
+    # these listings would take 5,972,264 and 1,048,608 characters; what is
+    # left is the records' keys and scalars.
+    escape = json.encoder.encode_basestring_ascii
+    escaped = 0
+
+    def counting(s):
+        nonlocal escaped
+        escaped += len(s)
+        return escape(s)
+
+    monkeypatch.setattr(json.encoder, "encode_basestring_ascii", counting)
+    sink = _CountingSink()
+    with contextlib.redirect_stdout(sink):
+        code = main(argv)
+    assert code == 0
+    assert sink.chars > 1_000_000
+    assert escaped <= 100_000, escaped
 
 
 def test_pal_generator_stabilized(capsys):
@@ -410,6 +488,9 @@ BAD_LETTERS = [
      "letter 'z' is not one of 'abcdefgh'"),
     (["enumerate", "--alphabet", "ab", "--n", "2", "--filter", "rich,avoids:zz"],
      "letter 'z' is not one of 'abcdefgh'"),
+    # Not a letter: a word is read whole, so a horizon is refused, not ignored.
+    (["pal", "--word", "abc", "--horizon", "5"],
+     "--horizon needs --gen; a --word is read whole"),
 ]
 
 
