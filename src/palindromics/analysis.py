@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .paltree import PalTree
@@ -13,41 +12,21 @@ from .streams import PrefixStream
 class _TreeListing:
     """The palindromes of a report, kept as the tree that found them.
 
-    Nothing holds the sorted list: iter_palindromes slices it from the tree
+    Nothing holds the sorted list: tree.palindromes() slices it, "" first,
     one length at a time, so a report costs its tree, not its output, which
     is quadratic in the text on rich words.
     """
 
     tree: PalTree = field(repr=False, compare=False)
 
-    def iter_palindromes(self) -> Iterator[str]:
-        """The report order: "" first, then by length, then lexicographic.
-
-        Only the palindromes of one length are sliced and sorted at a time.
-        """
-        yield ""
-        text = self.tree.text
-        for n, ends in self.tree.ends_by_length():
-            yield from sorted([text[end - n : end] for end in ends])
-
     @property
     def palindromes(self) -> tuple[str, ...]:
         """Every palindrome in report order, built on each read."""
-        return tuple(self.iter_palindromes())
+        return tuple(self.tree.palindromes())
 
     @property
     def pal_set(self) -> frozenset[str]:
-        return frozenset(("", *self.tree.palindromes()))
-
-
-def _lengths(tree: PalTree) -> tuple[dict[int, int], int, list[int]]:
-    """The per-length counts of tree's palindromes, "" included, and the
-    maximal length with the first ends of its palindromes (0 and [0] when
-    the tree has none)."""
-    per_length, n, ends = {0: 1}, 0, [0]
-    for n, ends in tree.ends_by_length():
-        per_length[n] = len(ends)
-    return per_length, n, ends
+        return frozenset(self.tree.palindromes())
 
 
 @dataclass(frozen=True)
@@ -56,7 +35,7 @@ class PalReport(_TreeListing):
 
     The palindrome list always contains the empty word, is sorted by length
     then lexicographically, and is byte-stable for golden tests; it is read
-    from the tree on demand (iter_palindromes, palindromes), never stored.
+    from the tree on demand (tree.palindromes(), palindromes), never stored.
     count, per_length and longest are computed when the report is made. The
     richness defect is (|w| + 1) - count and is never negative.
     """
@@ -77,7 +56,7 @@ class PalReport(_TreeListing):
             "count": self.count,
             "longest": self.longest,
             "per_length": {str(k): v for k, v in sorted(self.per_length.items())},
-            "palindromes": self.iter_palindromes(),
+            "palindromes": self.tree.palindromes(),
         }
 
 
@@ -85,11 +64,14 @@ def pal_set(s: str) -> PalReport:
     """Exact set of distinct palindromic factors of s, including the empty word.
 
     Runs in O(|s| * |alphabet|) time through the palindromic tree. The tree
-    lists palindromes in order of first occurrence, so the longest reported
-    is the earliest to occur among those of maximal length.
+    gives the first ends of each length in order of first occurrence, the
+    empty root's (0, [0]) first, so the longest reported is the earliest to
+    occur among those of maximal length.
     """
     tree = PalTree(s)
-    per_length, n, ends = _lengths(tree)
+    per_length = {}
+    for n, ends in tree.ends_by_length():  # one length's ends at a time
+        per_length[n] = len(ends)
     return PalReport(
         tree=tree,
         word_length=len(s),
@@ -167,7 +149,7 @@ class StabilizedPalSet(_TreeListing):
             "stable_horizon": self.stable_horizon,
             "checked_horizon": self.checked_horizon,
             "flag": self.flag,
-            "palindromes": self.iter_palindromes(),
+            "palindromes": self.tree.palindromes(),
         }
 
 
@@ -192,7 +174,8 @@ def stabilized_pal_set(s: PrefixStream, cap: int = 16384) -> StabilizedPalSet:
         fed = target
     stable_horizon = max(tree.last_growth, 1)
     stable = fed >= max(start, 2 * stable_horizon)
-    _, n, ends = _lengths(tree)
+    for n, ends in tree.ends_by_length():  # stops at the maximal length
+        pass
     text = tree.text
     return StabilizedPalSet(
         tree=tree,

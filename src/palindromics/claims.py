@@ -456,9 +456,8 @@ def verify_need_squares() -> ClaimVerdict:
     for w, c in walk.leaves():
         if c < 13:
             nonrich += 1
-            pals = frozenset(walk.tree.palindromes()) | {""}
-            if "aa" not in pals or "bb" not in pals:
-                exceptional.setdefault(pals, w)
+            if "aa" not in w or "bb" not in w:
+                exceptional.setdefault(frozenset(walk.tree.palindromes()), w)
     return _verdict(
         "need-squares",
         {

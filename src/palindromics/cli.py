@@ -36,6 +36,12 @@ from .search import enumerate_words
 from .words import SYMBOLS, alphabet, alphabet_of, least_period
 
 
+# Most letters pal reads from a generator: its tree takes about 110 bytes a
+# letter on a rich word, so 2^22 letters is about 0.5 GB. A stream that never
+# stabilizes, such as pow:ab, grows its tree to the cap.
+_PAL_MAX_LETTERS = 1 << 22
+
+
 class _Words:
     """A listing for _emit: an iterator of words over a..h, which it writes
     to JSON as themselves.
@@ -172,11 +178,11 @@ def _listing(report, *head: str) -> Iterator[str | Iterator[str]]:
     """Text lines of a report that lists its palindromes.
 
     The palindrome line is an iterator of parts that slices the palindromes
-    from the report's tree as _emit writes them, so JSON output never starts
-    it and text output holds one length of palindromes at a time.
+    from report.tree as _emit writes them, "" as ~, so JSON output never
+    starts it and text output holds one length of palindromes at a time.
     """
     yield from head
-    yield chain(("palindromes:",), (p or "~" for p in report.iter_palindromes()))
+    yield chain(("palindromes:",), (p or "~" for p in report.tree.palindromes()))
 
 
 def _report_record(report) -> dict:
@@ -187,6 +193,10 @@ def _report_record(report) -> dict:
 
 
 def _cmd_pal(args) -> int:
+    for flag, letters in (("--cap", args.cap), ("--horizon", args.horizon)):
+        if letters is not None and letters > _PAL_MAX_LETTERS:
+            raise ValueError(f"{flag} {letters} is over the limit of "
+                             f"{_PAL_MAX_LETTERS} letters")
     if args.word is not None:
         if args.horizon is not None:
             raise ValueError("--horizon needs --gen; a --word is read whole")

@@ -37,8 +37,10 @@ bytes); the long rich texts here use 2 to 4 letters.
 A node is created at the first position where its palindrome ends, and at
 most one node per position, so creation order is the order of first
 occurrence: among palindromes of one length, the earlier-created one also
-starts earlier. palindromes() lists them in that order, and last_growth is
-the first end of the newest node, so push() and pop() need not track it.
+starts earlier. ends_by_length() keeps that order within each length, from
+the empty root's (0, [0]) up, and palindromes() is report order: "" first,
+then by length, then lexicographic. last_growth is the first end of the
+newest node, so push() and pop() need not track it.
 """
 
 from __future__ import annotations
@@ -207,24 +209,19 @@ class PalTree:
         of the newest node, or the roots' 0 when there is no palindrome."""
         return self._first_end[-1]
 
-    def palindromes(self) -> list[str]:
-        """The distinct non-empty palindromic factors, in creation order.
-
-        Each one is sliced at its first occurrence from one joined copy of
-        the text, so the call costs about the total length it returns.
-        """
+    def palindromes(self) -> Iterator[str]:
+        """Every distinct palindromic factor, "" first, in report order: by
+        length, then lexicographic, sliced and sorted one length at a time."""
         text = "".join(self._s)
-        return [
-            text[end - n : end]
-            for n, end in zip(self._len[2:], self._first_end[2:])
-        ]
+        for n, ends in self.ends_by_length():
+            yield from sorted([text[end - n : end] for end in ends])
 
     def ends_by_length(self) -> Iterator[tuple[int, list[int]]]:
         """(n, first ends of the palindromes of length n) for each length n
-        present, shortest first; each list is in creation order, and
-        text[end - n : end] is its palindrome. Only the node order, sorted
-        by length, is held whole; reports slice one length at a time."""
+        present, from the empty root's (0, [0]) up; each list is in creation
+        order, and text[end - n : end] is its palindrome. Only the node
+        order, sorted by length, is held whole."""
         lens, first_end = self._len, self._first_end
-        order = sorted(range(2, len(lens)), key=lens.__getitem__)
+        order = sorted(range(1, len(lens)), key=lens.__getitem__)
         for n, nodes in groupby(order, key=lens.__getitem__):
             yield n, [first_end[v] for v in nodes]

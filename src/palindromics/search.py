@@ -72,9 +72,6 @@ class ConstraintSet:
     pal_length_cap: int | None = None
     assumed_palindromes: frozenset[str] = frozenset()
 
-    def assumed_with_epsilon(self) -> frozenset[str]:
-        return self.assumed_palindromes | {""}
-
     def satisfies(self, s: str) -> bool:
         """Full non-incremental check of every constraint, required factors
         included; used by oracles and witness replay."""
@@ -86,7 +83,7 @@ class ConstraintSet:
         cap, budget = self.pal_length_cap, self.pal_budget
         if cap is not None and len(report.longest) > cap:
             return False
-        charged = self.assumed_with_epsilon() | report.pal_set
+        charged = self.assumed_palindromes | report.pal_set
         return budget is None or len(charged) <= budget
 
 
@@ -170,14 +167,14 @@ class PalWalk:
         symbols = c.alphabet
         k = len(symbols)
         forbidden = c.forbidden_factors
-        forbidden_lengths = sorted({len(f) for f in forbidden})
+        forbidden_sizes = sorted({len(f) for f in forbidden})
         cap, budget = c.pal_length_cap, c.pal_budget
-        assumed = c.assumed_with_epsilon()
+        assumed = c.assumed_palindromes
         max_len, canonical, stats = self.max_len, self.canonical, self.stats
         push, pop = self.tree.push, self.tree.pop
         # Per depth: the word, its budget charge, letters tried, letters allowed.
         words = [""] * (max_len + 1)
-        charged = [len(assumed)] * (max_len + 1)
+        charged = [len(assumed | {""})] * (max_len + 1)
         tried = [0] * (max_len + 1)
         limit = [1 if canonical else k] * (max_len + 1)
 
@@ -198,7 +195,7 @@ class PalWalk:
             ch = symbols[i]
             word = words[depth] + ch
             hit = False
-            for n in forbidden_lengths:
+            for n in forbidden_sizes:
                 if word[-n:] in forbidden:
                     hit = True
                     break

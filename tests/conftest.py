@@ -38,6 +38,16 @@ def naive_pals_by_first_end(s: str) -> list[str]:
     return sorted(first_end, key=first_end.__getitem__)
 
 
+def naive_ends_by_length(s: str) -> list[tuple[int, list[int]]]:
+    """(n, first ends of the palindromes of length n) for each length n,
+    (0, [0]) for the empty word first, each list in order of first end;
+    grouped from naive_pals_by_first_end."""
+    groups: dict[int, list[int]] = {0: [0]}
+    for p in naive_pals_by_first_end(s):
+        groups.setdefault(len(p), []).append(s.index(p) + len(p))
+    return sorted(groups.items())
+
+
 def naive_last_growth(s: str) -> int:
     """The prefix length at which the set of distinct palindromic factors
     last grew (0 for a word without one), found by trying every factor in

@@ -11,6 +11,10 @@ import importlib
 import importlib.util
 import pathlib
 
+from palindromics import analysis, generators
+
+from conftest import naive_pal_set
+
 TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
 
 
@@ -62,3 +66,24 @@ def test_perfbench_imports_resolve():
         if name is not None and not hasattr(mod, name):
             # ``from package import submodule`` imports the submodule.
             importlib.import_module(f"{module}.{name}")
+
+
+def test_report_wrapper_counts_the_listed_characters():
+    # The tracer's report wrapper reads report.palindromes after each call;
+    # its character count must be that of the report's own palindromes.
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    wrapped_pal_set = tracing._report(tracer, "analysis.pal_set", analysis.pal_set)
+    wrapped_stabilized = tracing._report(
+        tracer, "analysis.stabilized_pal_set", analysis.stabilized_pal_set
+    )
+    reports = [
+        wrapped_pal_set("aaababaabaaa"),
+        wrapped_stabilized(generators.resolve_generator("fib-bc")),
+    ]
+    expected = sum(
+        len(p) for report in reports for p in naive_pal_set(report.tree.text)
+    )
+    assert tracer.counts["analysis.report_chars"] == expected
+    total, _ = tracer.totals()
+    assert set(total) == {"analysis.pal_set", "analysis.stabilized_pal_set"}

@@ -317,6 +317,12 @@ def test_unclosed_spec_exit_2(capsys, spec):
         ("fix(a->ab,b->a)", "fix takes morphism rules and a seed"),
         ("shift(fib,x)", "shift takes an inner generator and an offset"),
         ("shift(fib,1.5)", "shift takes an inner generator and an offset"),
+        ("pow(a,b)", "pow takes exactly one word argument"),
+        ("image(bc)", "image takes a morphism and an inner generator"),
+        ("revclose(U0)", "revclose expects key=value, got 'U0'"),
+        ("revclose(U0=a)", "revclose missing ['inserts']"),
+        ("revclose(U0=a, inserts=b)", "revclose inserts must look like [w1,w2]"),
+        ("ab)", "unknown generator 'ab)'"),  # no "(": not a call
     ],
 )
 def test_malformed_spec_exit_2(capsys, spec, message):
@@ -455,7 +461,7 @@ def test_unknown_preset_exits_2_with_registry(capsys):
 
 
 # Every place a word or an alphabet enters from the command line, with the
-# letter it must name.
+# letter it must name, then the other usage errors that print one line.
 BAD_LETTERS = [
     (["pal", "--word", "xyz"], "letter 'x' is not one of 'abcdefgh'"),
     (["returns", "--word", "abx", "--anchor", "ab"],
@@ -491,6 +497,26 @@ BAD_LETTERS = [
     # Not a letter: a word is read whole, so a horizon is refused, not ignored.
     (["pal", "--word", "abc", "--horizon", "5"],
      "--horizon needs --gen; a --word is read whole"),
+    (["gen", "--gen", "revclose(U0=, inserts=[a])"],
+     "the initial term must be non-empty"),
+    (["gen", "--gen", "revclose(U0=a, inserts=[])"],
+     "insert schedule must have at least one entry"),
+    (["gen", "--gen", "fix(ab->a,a)"], "rule left side must be a single letter, got 'ab'"),
+    (["gen", "--gen", "fix(a->ab,a->b,a)"], "duplicate rule for 'a'"),
+    (["gen", "--gen", "fix(a->ab,b,a)"], "bad morphism rule 'b'; expected 'x->image'"),
+    (["gen", "--gen", "fib", "--horizon", "-1"], "prefix length must be non-negative"),
+    (["enumerate", "--alphabet", "ab", "--n", "3", "--filter", "palcount<9"],
+     "bad palcount clause 'palcount<9'"),
+    (["enumerate", "--alphabet", "ab", "--n", "-1"], "word length must be non-negative"),
+    (["enumerate", "--alphabet", "abcdefghh", "--n", "2"],
+     "alphabet must have 1..8 symbols, got 9"),
+    (["closure", "--gen", "fib", "--k", "0"], "k must be at least 1"),
+    # A tree takes about 110 bytes a letter, and pow:ab never stabilizes:
+    # both are refused before any stream is built.
+    (["pal", "--gen", "pow:ab", "--cap", "100000000"],
+     "--cap 100000000 is over the limit of 4194304 letters"),
+    (["pal", "--gen", "pow:ab", "--horizon", "100000000"],
+     "--horizon 100000000 is over the limit of 4194304 letters"),
 ]
 
 

@@ -11,9 +11,9 @@ from palindromics import PalTree, pal_set, resolve_generator
 
 from conftest import (
     all_words,
+    naive_ends_by_length,
     naive_last_growth,
     naive_pal_set,
-    naive_pals_by_first_end,
 )
 
 
@@ -21,7 +21,8 @@ def test_empty_tree():
     tree = PalTree()
     assert tree.distinct_palindromes == 0
     assert tree.node_count == 2
-    assert tree.palindromes() == []
+    assert list(tree.palindromes()) == [""]
+    assert list(tree.ends_by_length()) == [(0, [0])]
 
 
 def test_incremental_growth_flags():
@@ -48,7 +49,7 @@ def test_at_most_one_node_per_letter():
 def _state(tree):
     return (
         tree.text,
-        tree.palindromes(),
+        list(tree.ends_by_length()),
         tree.node_count,
         tree.suffix_node,
         tree.last_growth,
@@ -60,7 +61,7 @@ def test_extend_chunks_and_pushes_agree(alphabet, max_n):
     for n in range(max_n + 1):
         for s in all_words(alphabet, n):
             built = _state(PalTree(s))
-            assert built[1] == naive_pals_by_first_end(s), s
+            assert built[1] == naive_ends_by_length(s), s
             assert built[4] == naive_last_growth(s), s
             for k in range(n + 1):
                 tree = PalTree(s[:k])
@@ -93,7 +94,7 @@ def test_extend_and_push_agree_on_eight_letters():
     # the lists of all letters lengthen together as the nodes reach them.
     for s in EIGHT_LETTER_WORDS:
         built = _state(PalTree(s))
-        assert built[1] == naive_pals_by_first_end(s), s
+        assert built[1] == naive_ends_by_length(s), s
         assert built[4] == naive_last_growth(s), s
         for k in range(0, len(s) + 1, 7):
             tree = PalTree(s[:k])
@@ -135,24 +136,22 @@ def test_node_count_matches_pal_set():
     ["", "a", "ab", "aababbaababb", "aaababaabaaa", "abacaba", "aabbaabb"],
 )
 def test_pal_strings_match_oracle(word):
-    assert set(PalTree(word).palindromes()) | {""} == naive_pal_set(word)
+    assert set(PalTree(word).palindromes()) == naive_pal_set(word)
 
 
 @pytest.mark.parametrize("alphabet, max_n", [("ab", 10), ("abc", 7)])
-def test_palindromes_in_first_occurrence_order(alphabet, max_n):
+def test_palindromes_in_report_order(alphabet, max_n):
     for n in range(max_n + 1):
         for s in all_words(alphabet, n):
-            assert PalTree(s).palindromes() == naive_pals_by_first_end(s), s
+            expected = sorted(naive_pal_set(s), key=lambda p: (len(p), p))
+            assert list(PalTree(s).palindromes()) == expected, s
 
 
 @pytest.mark.parametrize("alphabet, max_n", [("ab", 10), ("abc", 7)])
 def test_ends_by_length_matches_oracle(alphabet, max_n):
     for n in range(max_n + 1):
         for s in all_words(alphabet, n):
-            groups = {}
-            for p in naive_pals_by_first_end(s):
-                groups.setdefault(len(p), []).append(s.index(p) + len(p))
-            assert list(PalTree(s).ends_by_length()) == sorted(groups.items()), s
+            assert list(PalTree(s).ends_by_length()) == naive_ends_by_length(s), s
 
 
 def test_oracle_equivalence_ternary():
@@ -165,13 +164,13 @@ def test_extract_after_long_run():
     # Palindrome extraction uses first-occurrence positions, which must
     # survive later growth of the underlying buffer.
     tree = PalTree("abc" * 50)
-    assert set(tree.palindromes()) == {"a", "b", "c"}
+    assert set(tree.palindromes()) == {"", "a", "b", "c"}
 
 
 def _assert_same_as_fresh(tree, text):
     assert tree.text == text
     assert _state(tree) == _state(PalTree(text))
-    assert set(tree.palindromes()) | {""} == naive_pal_set(text)
+    assert set(tree.palindromes()) == naive_pal_set(text)
     assert tree.last_growth == naive_last_growth(text)
 
 

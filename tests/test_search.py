@@ -68,6 +68,10 @@ class TestFamilyTemplate:
         with pytest.raises(ValueError, match="block"):
             FamilyTemplate("a", "", "b")
 
+    def test_negative_n_min_rejected(self):
+        with pytest.raises(ValueError, match="n_min"):
+            FamilyTemplate("a", "b", "", n_min=-1)
+
     def test_instance(self):
         fam = FamilyTemplate("ab", "cd", "e", n_min=0)
         assert fam.matches("abcdcde")
@@ -111,6 +115,11 @@ class TestPalindromesOfLength:
     def test_count(self):
         assert len(palindromes_of_length(AB, 5)) == 8
         assert len(palindromes_of_length(AB, 4)) == 4
+
+    def test_length_zero_and_negative(self):
+        assert palindromes_of_length(AB, 0) == {""}
+        with pytest.raises(ValueError, match="non-negative"):
+            palindromes_of_length(AB, -1)
 
     def test_forbid_other(self):
         forb = forbid_other_palindromes(AB, 5, {"baaab"})
@@ -340,7 +349,7 @@ def test_walk_counters_account_for_every_extension(case):
 def test_walk_yields_the_tree_of_each_word():
     walk = PalWalk(ConstraintSet("abc", pal_budget=7), 6)
     for _, w in walk:
-        assert set(walk.tree.palindromes()) | {""} == naive_pal_set(w)
+        assert set(walk.tree.palindromes()) == naive_pal_set(w)
         assert walk.tree.text == w
 
 
@@ -366,6 +375,19 @@ def test_leaves_carry_their_palindrome_counts(alphabet, kwargs, max_len, canonic
     full = PalWalk(constraints, max_len, canonical=canonical)
     assert [w for w, _ in pairs] == [w for d, w in full if d == max_len]
     assert walk.stats.leaves == len(pairs)
+
+
+def test_walk_of_length_zero_is_the_empty_word():
+    assert list(PalWalk(ConstraintSet(AB), 0)) == [(0, "")]
+    walk = PalWalk(ConstraintSet(AB), 0)
+    assert list(walk.leaves()) == [("", 1)]
+    assert walk.stats.leaves == 1
+
+
+@pytest.mark.parametrize("max_letters", [0, 9])
+def test_low_palindrome_words_alphabet_size_checked(max_letters):
+    with pytest.raises(ValueError, match="max_letters"):
+        low_palindrome_words(max_letters, 3, 4)
 
 
 def test_low_palindrome_words_budget4():

@@ -13,6 +13,7 @@ from palindromics import (
     Morphism,
     PeriodicStream,
     ReversalClosureStream,
+    ShiftedStream,
     UnknownGeneratorError,
     preset_names,
     resolve_generator,
@@ -248,6 +249,8 @@ class TestShift:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             shift(PeriodicStream("ab"), -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            ShiftedStream(PeriodicStream("ab"), -1)
 
 
 class TestReversalClosure:
