@@ -536,14 +536,14 @@ def verify_closed13() -> ClaimVerdict:
     missing reversal for factors up to length 8 within a 4096 horizon.
     """
     stream = resolve_generator("closed13")
-    other_terms = [
+    mismatched = [
         n for n in range(2, 9) if pal_set(stream.term(n)).pal_set != CLOSED13_PAL_SET
     ]
     closure = reversal_closure_check(stream, k=8, horizon=4096)
     return _verdict(
         "closed13",
         {
-            "terms_with_other_pal_sets": (other_terms, []),
+            "terms_with_other_pal_sets": (mismatched, []),
             "missing_reversals": (closure.witness_missing, ()),
         },
         bound={"terms": "2..8", "closure_k": 8, "closure_horizon": 4096},

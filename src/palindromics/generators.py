@@ -10,6 +10,10 @@ reference is another preset's name.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterator
+from itertools import islice
+
 from .streams import PrefixStream, shift
 from .words import Morphism, alphabet_of
 
@@ -27,24 +31,21 @@ class PeriodicStream(PrefixStream):
         super().__init__(alphabet_of(u))
         self.block = u
 
-    def _grow(self, n: int) -> None:
-        reps = n // len(self.block) + 1
-        self._text = self.block * reps
+    def _stretches(self, n: int) -> Iterator[str]:
+        yield self.block * (n // len(self.block) + 1)
 
 
 class FixedPointStream(PrefixStream):
     """The unique fixed point of a morphism prolongable at a seed letter.
 
-    Materializes by self-reading. The text T is always the image of its
-    first k letters (T = image(seed) and k = 1 at the start), so the image
-    of the unexpanded rest T[k:] is the next stretch of the fixed point.
-    Each round expands that rest with one Morphism.apply, or its first n - |T|
-    letters, which suffice because no image is empty. A round adds at least
-    as many letters as it reads, so prefix_text(n) takes time linear in n,
-    even for a slowly growing morphism such as a->ab, b->b, which adds one
-    letter a round. The text holds at most m * n letters, m being the
-    longest image length. A fixed point needs a morphism from its alphabet
-    to itself: an image letter with no rule is a ValueError, reached or not.
+    Its stretches read off x = image(x): the first is image(seed), the
+    second the image of the first less its first letter, seed, and each
+    later one the image of the one before. A read maps only as many letters
+    of the previous stretch as it still misses; they suffice, as no image
+    is empty. So prefix_text(n) takes time linear in n even for a->ab,
+    b->b, which adds one letter a stretch. A fixed point needs a morphism
+    from its alphabet to itself: an image letter with no rule is a
+    ValueError, reached or not.
     """
 
     def __init__(self, morphism: Morphism, seed: str) -> None:
@@ -58,29 +59,31 @@ class FixedPointStream(PrefixStream):
         super().__init__(morphism.target)
         self.morphism = morphism
         self.seed = seed
-        self._text = morphism.images[seed]
-        self._next = 1  # the text is the image of its first _next letters
 
-    def _grow(self, n: int) -> None:
+    def _stretches(self, n: int) -> Iterator[str]:
         apply = self.morphism.apply
-        parts = [self._text]
-        total = len(self._text)
-        rest = self._text[self._next :]
-        while total < n:
-            # Taking fewer than all of rest reaches n, so ends the loop.
-            take = rest[: n - total]
-            self._next += len(take)
-            rest = apply(take)
-            parts.append(rest)
-            total += len(rest)
-        self._text = "".join(parts)
+        stretch = apply(self.seed)
+        yield stretch
+        n -= len(stretch)  # from here on, the letters still missing
+        stretch = stretch[1:]  # its first letter, seed, is mapped already
+        while n > 0:
+            stretch = apply(stretch[:n])
+            yield stretch
+            n -= len(stretch)
+
+
+# Inner letters an image stream maps in one Morphism.apply: few enough that
+# a read maps fewer than this many it does not need, and enough that a read
+# holds few pieces.
+_PIECE = 4096
 
 
 class ImageStream(PrefixStream):
     """Letterwise image of another stream under a morphism.
 
-    A round maps ceil(r / m) inner letters, r letters being missing and m
-    the longest image, so growing to n letters leaves fewer than n + m.
+    The inner stretches are mapped in pieces of at most _PIECE letters, up
+    to the piece that brings the image to the n letters asked for. n inner
+    letters always suffice, because no image is empty.
     """
 
     def __init__(self, morphism: Morphism, inner: PrefixStream) -> None:
@@ -92,22 +95,16 @@ class ImageStream(PrefixStream):
         super().__init__(morphism.target)
         self.morphism = morphism
         self.inner = inner
-        self._consumed = 0
 
-    def _grow(self, n: int) -> None:
+    def _stretches(self, n: int) -> Iterator[str]:
         apply = self.morphism.apply
-        parts = [self._text]
-        total = len(self._text)
-        longest = max(map(len, self.morphism.images.values()))
-        while total < n:
-            # No image is empty, so each round adds at least one letter.
-            take = (n - total + longest - 1) // longest
-            chunk = self.inner.read(self._consumed, self._consumed + take)
-            self._consumed += len(chunk)
-            chunk = apply(chunk)
-            parts.append(chunk)
-            total += len(chunk)
-        self._text = "".join(parts)
+        for stretch in self.inner._stretches(n):
+            for start in range(0, len(stretch), _PIECE):
+                image = apply(stretch[start : start + _PIECE])
+                yield image
+                n -= len(image)
+                if n <= 0:
+                    return
 
 
 TRANSFORMS = ("rev", "revcomp", "id")
@@ -120,7 +117,8 @@ class ReversalClosureStream(PrefixStream):
     followed by the exchange of letters that reverses the alphabet's order
     (a<->b on two letters), or the identity. With t = rev, every term is
     closed under reversal by construction. Each term is a prefix of the
-    next, so the limit is well defined.
+    next, so the limit is well defined: its stretches are u0, the initial
+    term, then each insert(k) . t(U(k)) in turn.
 
     The alphabet is the a..h prefix covering u0 and the inserts, or the
     given alphabet, itself an a..h prefix, when that is longer; it matters
@@ -146,8 +144,8 @@ class ReversalClosureStream(PrefixStream):
         super().__init__(alphabet)
         self.inserts = list(inserts)
         self.transform = transform
+        self.u0 = u0
         self._exchange = str.maketrans(alphabet, alphabet[::-1])
-        self._terms = [u0]
 
     def _apply_transform(self, s: str) -> str:
         if self.transform == "rev":
@@ -158,18 +156,19 @@ class ReversalClosureStream(PrefixStream):
 
     def term(self, k: int) -> str:
         """The k-th term of the recursion (term(0) is the initial word)."""
-        while len(self._terms) <= k:
-            i = len(self._terms) - 1
-            u = self._terms[-1]
-            self._terms.append(u + self.inserts[i % len(self.inserts)] + self._apply_transform(u))
-        return self._terms[k]
+        if k < 0:
+            raise ValueError(f"term index must be non-negative, got {k}")
+        return "".join(islice(self._stretches(math.inf), k + 1))
 
-    def _grow(self, n: int) -> None:
-        k = len(self._terms) - 1
-        while len(self._terms[-1]) < n:
+    def _stretches(self, n: float) -> Iterator[str]:
+        term = self.u0
+        yield term
+        k = 0
+        while len(term) < n:
+            stretch = self.inserts[k % len(self.inserts)] + self._apply_transform(term)
+            yield stretch
+            term += stretch
             k += 1
-            self.term(k)
-        self._text = self._terms[-1]
 
 
 # Named morphisms usable in generator spec strings.

@@ -1,4 +1,4 @@
-"""Incremental palindromic tree (eertree) over an append-only letter sequence.
+"""Incremental palindromic tree (eertree) over a text that changes at its end.
 
 The structure keeps one node per distinct non-empty palindromic factor of the
 processed prefix. Appending a letter creates at most one node, so the node

@@ -1,48 +1,39 @@
-"""Lazy prefix streams: ever-longer prefixes of a fixed infinite word."""
+"""Lazy prefix streams: prefixes of a fixed infinite word. A stream holds
+the word's definition, not its letters, and a read changes no state."""
 
 from __future__ import annotations
 
-import threading
+from collections.abc import Iterator
 
 
 class PrefixStream:
     """Base class for lazy producers of prefixes of one infinite word.
 
-    read(i, j) returns letters i to j - 1 and prefix_text(n) the first n;
-    successive requests agree because materialization only ever appends.
-    Materialization is serialized behind a lock, so concurrent requests on
-    a shared stream are safe and consistent. A stream built on another
-    reads the inner letters it has not used yet with read(), so a round
-    copies only those letters, not the inner prefix from letter 0.
+    A kind defines its word by _stretches(n), which yields successive
+    non-empty stretches of the word from letter 0, at least n letters in
+    all and few more, and then stops. prefix_text(n) joins the first n
+    letters afresh from _stretches(n), and read(i, j) slices letters i to
+    j - 1 off prefix_text(j), so every read passes through prefix_text. A
+    stream built on another reads the inner _stretches as far as it needs.
     """
 
     def __init__(self, alphabet: str) -> None:
         self.alphabet = alphabet
-        self._text = ""
-        self._lock = threading.Lock()
 
-    def _grow(self, n: int) -> None:
-        """Extend self._text to length >= n. Implementations append only."""
+    def _stretches(self, n: int) -> Iterator[str]:
         raise NotImplementedError
 
     def read(self, i: int, j: int) -> str:
         """Letters i to j - 1 of the word, for 0 <= i <= j."""
         if not 0 <= i <= j:
             raise ValueError(f"letter range must have 0 <= i <= j, got [{i}, {j})")
-        with self._lock:
-            if len(self._text) < j:
-                before = self._text
-                self._grow(j)
-                if not self._text.startswith(before) or len(self._text) < j:
-                    raise RuntimeError(
-                        f"{type(self).__name__} violated append-only materialization"
-                    )
-            return self._text[i:j]
+        return self.prefix_text(j)[i:]
 
     def prefix_text(self, n: int) -> str:
+        """The first n letters of the word, for n >= 0."""
         if n < 0:
             raise ValueError("prefix length must be non-negative")
-        return self.read(0, n)
+        return "".join(self._stretches(n))[:n]
 
 
 class ShiftedStream(PrefixStream):
@@ -55,8 +46,12 @@ class ShiftedStream(PrefixStream):
         self.inner = inner
         self.k = k
 
-    def _grow(self, n: int) -> None:
-        self._text += self.inner.read(len(self._text) + self.k, n + self.k)
+    def _stretches(self, n: int) -> Iterator[str]:
+        skip = self.k
+        for stretch in self.inner._stretches(n + self.k):
+            if skip < len(stretch):
+                yield stretch[skip:]
+            skip = max(skip - len(stretch), 0)
 
 
 def shift(s: PrefixStream, k: int) -> PrefixStream:

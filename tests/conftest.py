@@ -134,6 +134,17 @@ def naive_fixed_point(images: dict[str, str], seed: str, n: int) -> str:
     return w[:n]
 
 
+def naive_reversal_closure(u0: str, inserts: list[str], t, n: int) -> str:
+    """The first n letters of the limit of U(k+1) = U(k) . x(k) . t(U(k)),
+    U(0) = u0, the inserts x(k) taken in turn; t is a function on words.
+    Builds whole terms until one has n letters."""
+    u, k = u0, 0
+    while len(u) < n:
+        u = u + inserts[k % len(inserts)] + t(u)
+        k += 1
+    return u[:n]
+
+
 def naive_fibonacci(n: int) -> str:
     """The first n letters of the Fibonacci word, by the concatenation
     recurrence f(1) = a, f(2) = ab, f(k+1) = f(k) f(k-1)."""

@@ -1,17 +1,26 @@
 """Generators: golden prefixes, recursion terms, stream algebra, spec parsing."""
 
+import copy
 import hashlib
 import threading
+import tracemalloc
+from itertools import accumulate
 
 import pytest
 
-from conftest import naive_fibonacci, naive_fixed_point, naive_image
+from conftest import (
+    naive_fibonacci,
+    naive_fixed_point,
+    naive_image,
+    naive_reversal_closure,
+)
 
 from palindromics import (
     FixedPointStream,
     ImageStream,
     Morphism,
     PeriodicStream,
+    PrefixStream,
     ReversalClosureStream,
     ShiftedStream,
     UnknownGeneratorError,
@@ -164,11 +173,52 @@ def test_image_prefixes_match_oracle(ref):
         assert stream.prefix_text(n) == expected[:n], n
 
 
+def _rev(u):
+    return u[::-1]
+
+
+def _revcomp_ab(u):
+    return u[::-1].translate(str.maketrans("ab", "ba"))
+
+
+SLICE_LETTERS = 3000
+PAPERFOLDING = naive_reversal_closure("a", ["a"], _revcomp_ab, SLICE_LETTERS + 7)
+# spec -> its first 3,000 letters from a conftest oracle: one spec per form
+# and transform, and shifts on and off a stretch boundary (paperfolding's
+# lie at 1, 3, 7, ..., 2**k - 1, fibonacci's at 2, 3, 5, 8, ...).
+SLICE_SPECS = {
+    "pow:aababb": ("aababb" * SLICE_LETTERS)[:SLICE_LETTERS],
+    "fix(a->ab,b->b,a)": "a" + "b" * (SLICE_LETTERS - 1),
+    "fibonacci": naive_fibonacci(SLICE_LETTERS),
+    "fib-abbab": naive_image(
+        {"a": "a", "b": "abbab"}, naive_fibonacci(SLICE_LETTERS)
+    )[:SLICE_LETTERS],
+    "revclose(U0=ab, inserts=[c,ba], t=rev)": naive_reversal_closure(
+        "ab", ["c", "ba"], _rev, SLICE_LETTERS
+    ),
+    "paperfolding": PAPERFOLDING[:SLICE_LETTERS],
+    "revclose(U0=ab, inserts=[c,ba], t=id)": naive_reversal_closure(
+        "ab", ["c", "ba"], lambda u: u, SLICE_LETTERS
+    ),
+    "shift(fibonacci,8)": naive_fibonacci(SLICE_LETTERS + 8)[8:],
+    "shift(fibonacci,6)": naive_fibonacci(SLICE_LETTERS + 6)[6:],
+    "shift(paperfolding,7)": PAPERFOLDING[7:],
+    "shift(paperfolding,5)": PAPERFOLDING[5 : SLICE_LETTERS + 5],
+}
+# Ranges inside, across and at the ends of stretches.
+SLICE_RANGES = [
+    (0, 0), (5, 5), (0, 1), (1, 2), (2, 3), (3, 10), (6, 9), (7, 8),
+    (1596, 1598), (2047, 2049), (2583, 2585), (100, 2500), (2999, 3000),
+    (0, 3000),
+]
+
+
 def test_read_is_a_slice_of_the_prefix():
+    for spec, full in SLICE_SPECS.items():
+        stream = resolve_generator(spec)
+        for i, j in SLICE_RANGES:
+            assert stream.read(i, j) == full[i:j], (spec, i, j)
     stream = resolve_generator("fib-abbab")
-    full = resolve_generator("fib-abbab").prefix_text(3000)
-    for i, j in [(0, 0), (5, 5), (3, 10), (100, 2500), (2999, 3000), (0, 3000)]:
-        assert stream.read(i, j) == full[i:j], (i, j)
     for i, j in [(4, 3), (-1, 3)]:
         with pytest.raises(ValueError, match="0 <= i <= j"):
             stream.read(i, j)
@@ -185,14 +235,68 @@ def test_shifted_image_prefixes_match_oracle():
 
 
 @pytest.mark.parametrize("ref", ["fib-abbab", "fold-pairswap", "fib-bc"])
-def test_image_reads_only_the_inner_letters_it_needs(ref):
-    # Growth stops within one image of the request: no round maps more
-    # inner letters than the missing letters need.
+def test_image_reads_only_the_inner_letters_it_needs(ref, monkeypatch):
+    # A read maps fewer than one piece (4,096) of inner letters past the
+    # fewest whose images cover the request. At 2**18 letters those are
+    # 103,702, 131,072 and 189,689, and the inner stretches covering them
+    # end more than a piece later (fibonacci's at 121,393 and 196,418,
+    # paperfolding's at 262,143), so a read that mapped whole inner
+    # stretches would fail here.
     stream = resolve_generator(ref)
-    longest = max(map(len, stream.morphism.images.values()))
-    n = 2**16
-    stream.prefix_text(n)
-    assert len(stream._text) < n + longest
+    n = 2**18
+    images = stream.morphism.images
+    covered = accumulate(len(images[c]) for c in stream.inner.prefix_text(n))
+    needed = next(i for i, total in enumerate(covered, 1) if total >= n)
+    mapped = 0
+    apply = Morphism.apply
+
+    def counting_apply(self, s):
+        nonlocal mapped
+        if self is stream.morphism:
+            mapped += len(s)
+        return apply(self, s)
+
+    monkeypatch.setattr(Morphism, "apply", counting_apply)
+    assert len(stream.prefix_text(n)) == n
+    assert needed <= mapped < needed + 4096
+
+
+def _state(obj):
+    """What a stream holds, its inner streams and morphisms included, as
+    plain values that compare by content."""
+    if isinstance(obj, PrefixStream):
+        return {key: _state(value) for key, value in vars(obj).items()}
+    if isinstance(obj, Morphism):
+        return dict(obj.images)
+    return copy.deepcopy(obj)
+
+
+@pytest.mark.parametrize("ref", sorted(PRESETS) + ["pow:ab", "shift(fib-bc,5)"])
+def test_reads_leave_the_stream_unchanged(ref):
+    stream = resolve_generator(ref)
+    before = _state(stream)
+    stream.prefix_text(5000)
+    stream.read(10, 20)
+    assert _state(stream) == before
+
+
+# fix(a->ab,b->b,a) is left out: it adds one letter a stretch, and a read
+# holds one list slot per stretch, about 10 bytes a letter in all.
+@pytest.mark.parametrize(
+    "ref",
+    sorted(PRESETS)
+    + ["shift(paperfolding,1000)", "image(pairswap, shift(fib-abbab,7))"],
+)
+def test_prefix_peak_memory_is_a_few_bytes_a_letter(ref):
+    stream = resolve_generator(ref)
+    n = 2**18
+    tracemalloc.start()
+    try:
+        stream.prefix_text(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * n
 
 
 class TestImage:
@@ -272,6 +376,13 @@ class TestReversalClosure:
                 resolve_generator(name), k=8, horizon=4096
             )
             assert report.witness_missing == ()
+
+    def test_negative_term_index_rejected(self):
+        stream = resolve_generator("closed13")
+        stream.prefix_text(1000)
+        message = "^term index must be non-negative, got -1$"
+        with pytest.raises(ValueError, match=message):
+            stream.term(-1)
 
 
 class TestSpecParsing:
