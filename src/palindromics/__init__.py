@@ -39,7 +39,7 @@ from .search import (
     forbid_other_palindromes,
     scan_complete_returns,
 )
-from .streams import PrefixStream, ShiftedStream, shift
+from .streams import PrefixStream, ShiftedStream
 from .words import (
     Morphism,
     alphabet,
@@ -90,6 +90,5 @@ __all__ = [
     "run_claim",
     "run_return_family_claim",
     "scan_complete_returns",
-    "shift",
     "stabilized_pal_set",
 ]

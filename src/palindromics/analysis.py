@@ -159,7 +159,8 @@ def stabilized_pal_set(s: PrefixStream, cap: int = 16384) -> StabilizedPalSet:
     The scan starts at horizon 16; whenever a new palindrome appears at
     horizon h it continues to at least 2h. Stops once the set is unchanged
     from stable_horizon up to checked_horizon >= 2 * stable_horizon, or at
-    the cap. Each round reads its prefix afresh, and a horizon is more than
+    the cap. Each round reads its prefix afresh with prefix_text and feeds
+    the tree the letters past the last round's. A horizon is more than
     twice the one two rounds before, so the rounds read fewer than four
     times the final horizon's letters: 32,752 for 16,384 on fibonacci.
     """
@@ -172,7 +173,7 @@ def stabilized_pal_set(s: PrefixStream, cap: int = 16384) -> StabilizedPalSet:
         target = min(cap, max(start, 2 * tree.last_growth))
         if fed >= target:
             break
-        tree.extend(s.read(fed, target))
+        tree.extend(s.prefix_text(target)[fed:])
         fed = target
     stable_horizon = max(tree.last_growth, 1)
     stable = fed >= max(start, 2 * stable_horizon)

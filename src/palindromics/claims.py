@@ -8,7 +8,7 @@ failed check. First-return claims refute with ``{"return", "host"}``
 witnesses instead, which ``replay_return_witness`` re-checks.
 
 The registry ``CLAIMS`` maps each claim id to its one-line summary and a
-zero-argument verifier. One-off verifiers register themselves with the
+verifier, which takes the id. One-off verifiers register themselves with the
 ``@claim(id, summary)`` decorator; the three minimum-count scans and the four
 first-return checks are rows of data (``MINPAL_EXPECTATIONS`` and
 ``RETURN_CLAIMS``) registered by a loop over those rows. ``run_claim`` times
@@ -136,12 +136,12 @@ class ClaimVerdict:
         return asdict(self)
 
 
-# claim id -> (summary, zero-argument verifier)
-CLAIMS: dict[str, tuple[str, Callable[[], ClaimVerdict]]] = {}
+# claim id -> (summary, verifier), the verifier called with its claim id
+CLAIMS: dict[str, tuple[str, Callable[[str], ClaimVerdict]]] = {}
 
 
 def claim(claim_id: str, summary: str):
-    """Register the decorated zero-argument verifier under claim_id."""
+    """Register the decorated verifier under claim_id, which run_claim passes it."""
 
     def register(verify):
         CLAIMS[claim_id] = (summary, verify)
@@ -221,13 +221,13 @@ def minpal_scan(
 @claim("rich9",
        "every binary word of length 9 using both letters contains at least 9 "
        "palindromes")
-def verify_rich9() -> ClaimVerdict:
+def verify_rich9(claim_id: str) -> ClaimVerdict:
     best, argmin, scanned = scan_min_palindromes(
         AB, 9, word_filter=lambda w: len(set(w)) == 2
     )
     sample = sorted(argmin)[:8]
     return _verdict(
-        "rich9",
+        claim_id,
         {"min_palindromes": (best, 9)},
         bound={"alphabet": "ab", "length": 9, "letters_present": 2},
         witness={"min_palindromes": best, "argmin_count": len(argmin),
@@ -240,7 +240,7 @@ def verify_rich9() -> ClaimVerdict:
 @claim("min4",
        "length-12 words over up to 4 letters contain at least 4 palindromes; "
        "exactly 4 only for renamings of the period-3 three-letter power")
-def verify_min4() -> ClaimVerdict:
+def verify_min4(claim_id: str) -> ClaimVerdict:
     """Length-12 words over up to four letters all have >= 4 palindromes, and
     the ones with exactly 4 are the renamings of the period-3 pattern
     (abc)(abc)(abc)(abc). Canonical (first-occurrence ordered) representatives
@@ -253,7 +253,7 @@ def verify_min4() -> ClaimVerdict:
     exact4 = sorted(w for w, c in rows if c == 4)
     binary_floor, _, _ = scan_min_palindromes(AB, 12)
     return _verdict(
-        "min4",
+        claim_id,
         {
             # The rows come in lexicographic order: these are the first eight.
             "fewer_than_four": ([w for w, c in rows if c < 4][:8], []),
@@ -284,7 +284,7 @@ def _conjugates_of_class(word: str) -> list[str]:
        "binary length-12 words with exactly 9 palindromes are the 12 squares "
        "of rotations of aababb and its reversal, each with the fixed 9-set; "
        "breaking period 6 adds a 10th")
-def verify_exact9() -> ClaimVerdict:
+def verify_exact9(claim_id: str) -> ClaimVerdict:
     """The binary length-12 words with exactly 9 palindromes are exactly the
     squares of the 12 rotations of aababb and its reversal, each with the
     fixed 9-element palindrome set, and any 13th letter that breaks period 6
@@ -304,7 +304,7 @@ def verify_exact9() -> ClaimVerdict:
         for s in (u * 2 + letter for u in blocks for letter in "ab")
     ]
     return _verdict(
-        "exact9",
+        claim_id,
         {
             "below_floor": ([w for w, c in low if c < 9][:8], []),
             "exactly_nine": (sorted(w for w, c in low if c == 9), expected_squares),
@@ -359,7 +359,7 @@ def ten_palindrome_classes() -> dict[str, list[str]]:
        "binary length-14 words with exactly 10 palindromes partition into the "
        "rotation-closed square, flanked and tailed families, all with longest "
        "palindrome at most 6")
-def verify_exact10() -> ClaimVerdict:
+def verify_exact10(claim_id: str) -> ClaimVerdict:
     """Every binary length-14 word with exactly 10 palindromes falls in
     exactly one of the three rotation-closed families, and the longest
     palindrome in any of them has length at most 6.
@@ -376,7 +376,7 @@ def verify_exact10() -> ClaimVerdict:
         set(classes[f]) for f in ("square", "flanked", "tailed")
     )
     return _verdict(
-        "exact10",
+        claim_id,
         {
             "exactly_ten": (set(exact10), sq | flanked | tailed),
             "in_two_families": (
@@ -399,7 +399,7 @@ def verify_exact10() -> ClaimVerdict:
 @claim("extend11",
        "single-letter extensions of the 10-palindrome families reach exactly 11 "
        "palindromes unless the stated period is preserved")
-def verify_extend11() -> ClaimVerdict:
+def verify_extend11(claim_id: str) -> ClaimVerdict:
     """Single-letter extensions of the 10-palindrome families contain exactly
     11 palindromes unless the letter preserves the stated period.
 
@@ -432,7 +432,7 @@ def verify_extend11() -> ClaimVerdict:
     found = {t: pal_set(t).count for t in expected}
     wrong = {t: c for t, c in found.items() if c != expected[t]}
     return _verdict(
-        "extend11",
+        claim_id,
         {"palindromes": (wrong, {t: expected[t] for t in wrong})},
         bound={"alphabet": "ab", "families": sorted(classes)},
         witness={
@@ -445,7 +445,7 @@ def verify_extend11() -> ClaimVerdict:
 @claim("need-squares",
        "850 non-rich binary words of length 12; palindrome sets missing aa or bb "
        "are exactly the four exceptional 12-element sets")
-def verify_need_squares() -> ClaimVerdict:
+def verify_need_squares(claim_id: str) -> ClaimVerdict:
     """There are 850 non-rich binary words of length 12, and among their
     palindrome sets the only ones missing aa or bb are the four exceptional
     12-element sets (witnessed by aaababaabaaa hitting the fourth).
@@ -459,7 +459,7 @@ def verify_need_squares() -> ClaimVerdict:
             if "aa" not in w or "bb" not in w:
                 exceptional.setdefault(frozenset(walk.tree.palindromes()), w)
     return _verdict(
-        "need-squares",
+        claim_id,
         {
             "nonrich_count": (nonrich, 850),
             "exceptional_sets": (set(exceptional), set(EXCEPTIONAL_PAL_SETS)),
@@ -484,7 +484,7 @@ def verify_need_squares() -> ClaimVerdict:
        "longest-palindrome bounds: palindromes of length at most 3 only for a "
        "finite tree of words; aabbab power peaks at 4; maxpal5 recursion at 5 "
        "with a 15-element set; only two first returns to aab in the capped regime")
-def verify_maxpal_bounds() -> ClaimVerdict:
+def verify_maxpal_bounds(claim_id: str) -> ClaimVerdict:
     """Bounds on the longest palindromic factor of binary words: the words
     whose palindromes all have length <= 3 form a finite tree (the exhaustive
     extension search terminates); (aabbab) repeated has longest palindrome 4;
@@ -505,7 +505,7 @@ def verify_maxpal_bounds() -> ClaimVerdict:
     )
     aab_returns = sorted(returns_scan.returns)
     return _verdict(
-        "maxpal-bounds",
+        claim_id,
         {
             "length_cap_3_search_exhausted": (depth.exhausted, True),
             "aabbab_power_longest": (len(power.longest), 4),
@@ -530,7 +530,7 @@ def verify_maxpal_bounds() -> ClaimVerdict:
 @claim("closed13",
        "the closed13 recursion keeps exactly 13 palindromes from the second term "
        "on and shows no missing reversal up to factor length 8")
-def verify_closed13() -> ClaimVerdict:
+def verify_closed13(claim_id: str) -> ClaimVerdict:
     """Every recursion term of the closed13 word from the second on has
     exactly the fixed 13-element palindrome set, and the stream shows no
     missing reversal for factors up to length 8 within a 4096 horizon.
@@ -541,7 +541,7 @@ def verify_closed13() -> ClaimVerdict:
     ]
     closure = reversal_closure_check(stream, k=8, horizon=4096)
     return _verdict(
-        "closed13",
+        claim_id,
         {
             "terms_with_other_pal_sets": (mismatched, []),
             "missing_reversals": (closure.witness_missing, ()),
@@ -699,7 +699,7 @@ STREAM_EXPECTATIONS = {
 @claim("stream-pal-counts",
        "stabilized palindrome inventories of the named streams match their "
        "expected counts, longest lengths and pinned sets")
-def verify_stream_pal_counts() -> ClaimVerdict:
+def verify_stream_pal_counts(claim_id: str) -> ClaimVerdict:
     """The named streams stabilize on their expected palindrome inventories:
     counts, longest lengths, and (where the full set is pinned) exact sets.
     """
@@ -716,7 +716,7 @@ def verify_stream_pal_counts() -> ClaimVerdict:
         if exact is not None:
             checks[f"{name} pal_set"] = (stab.pal_set, exact)
     return _verdict(
-        "stream-pal-counts",
+        claim_id,
         checks,
         bound={"stabilizer_cap": 16384},
         witness={"streams": rows},
@@ -739,7 +739,7 @@ CLOSURE_EXPECTATIONS = {
 @claim("closure-checks",
        "window reversal-closure checks: recursions closed, images and "
        "paperfolding each missing a known reversal")
-def verify_closure_checks() -> ClaimVerdict:
+def verify_closure_checks(claim_id: str) -> ClaimVerdict:
     """Reversal-closure window checks: the reversal-closure recursions show
     no missing reversal, while the paperfolding word and the two Fibonacci
     images each miss a specific short factor's reversal.
@@ -758,7 +758,7 @@ def verify_closure_checks() -> ClaimVerdict:
                 pair in missing, True
             )
     return _verdict(
-        "closure-checks",
+        claim_id,
         checks,
         bound={"horizon": 4096},
         witness={"streams": rows},
@@ -790,11 +790,11 @@ MINPAL_EXPECTATIONS = {
 # The rows are looked up when the claim runs, so an edited row takes effect.
 for _cid, _row in MINPAL_EXPECTATIONS.items():
     claim(_cid, _row[0])(
-        lambda cid=_cid: minpal_scan(cid, *MINPAL_EXPECTATIONS[cid][1:])
+        lambda cid: minpal_scan(cid, *MINPAL_EXPECTATIONS[cid][1:])
     )
 for _cid, _row in RETURN_CLAIMS.items():
     claim(_cid, _row.summary)(
-        lambda cid=_cid: run_return_family_claim(RETURN_CLAIMS[cid])
+        lambda cid: run_return_family_claim(RETURN_CLAIMS[cid])
     )
 
 
@@ -814,7 +814,7 @@ def run_claim(claim_id: str) -> ClaimVerdict:
             f"unknown claim {claim_id!r}; known claims: {', '.join(sorted(CLAIMS))}"
         ) from None
     t0 = time.perf_counter()
-    verdict = verify()
+    verdict = verify(claim_id)
     verdict.stats["elapsed_s"] = round(time.perf_counter() - t0, 6)
     return verdict
 

@@ -36,10 +36,24 @@ from .search import enumerate_words
 from .words import SYMBOLS, alphabet, alphabet_of, least_period
 
 
-# Most letters pal reads from a generator: its tree takes about 110 bytes a
-# letter on a rich word, so 2^22 letters is about 0.5 GB. A stream that never
-# stabilizes, such as pow:ab, grows its tree to the cap.
-_PAL_MAX_LETTERS = 1 << 22
+# Most letters pal, gen and closure read from a generator. pal's tree takes
+# about 110 bytes a letter on a rich word, so 2^22 letters is about 0.5 GB,
+# and a stream that never stabilizes, such as pow:ab, grows its tree to the
+# cap; gen and closure hold a few copies of the prefix.
+_MAX_LETTERS = 1 << 22
+
+# Longest factors closure checks. It lists every missing reversal, about k^2
+# of them on a word that misses many (paperfolding at k = 1024: 1,114,995
+# pairs, 1.48 GB); at 64, a word of linear factor complexity lists a few MB.
+_MAX_CLOSURE_K = 64
+
+
+def _check_letters(*flags: tuple[str, int | None]) -> None:
+    """Refuse a letter count over _MAX_LETTERS, before any stream is built."""
+    for flag, letters in flags:
+        if letters is not None and letters > _MAX_LETTERS:
+            raise ValueError(f"{flag} {letters} is over the limit of "
+                             f"{_MAX_LETTERS} letters")
 
 
 class _Words:
@@ -193,10 +207,7 @@ def _report_record(report) -> dict:
 
 
 def _cmd_pal(args) -> int:
-    for flag, letters in (("--cap", args.cap), ("--horizon", args.horizon)):
-        if letters is not None and letters > _PAL_MAX_LETTERS:
-            raise ValueError(f"{flag} {letters} is over the limit of "
-                             f"{_PAL_MAX_LETTERS} letters")
+    _check_letters(("--cap", args.cap), ("--horizon", args.horizon))
     if args.word is not None:
         if args.horizon is not None:
             raise ValueError("--horizon needs --gen; a --word is read whole")
@@ -227,6 +238,9 @@ def _cmd_pal(args) -> int:
 
 
 def _cmd_closure(args) -> int:
+    _check_letters(("--horizon", args.horizon))
+    if args.k > _MAX_CLOSURE_K:
+        raise ValueError(f"--k {args.k} is over the limit of {_MAX_CLOSURE_K}")
     stream = resolve_generator(args.gen)
     report = reversal_closure_check(stream, k=args.k, horizon=args.horizon)
     lines = [
@@ -255,6 +269,7 @@ def _cmd_returns(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    _check_letters(("--horizon", args.horizon))
     prefix = resolve_generator(args.gen).prefix_text(args.horizon)
     _emit(args.format, partial(dict, generator=args.gen, prefix=prefix), [prefix])
     return 0

@@ -14,7 +14,7 @@ import math
 from collections.abc import Iterator
 from itertools import islice
 
-from .streams import PrefixStream, shift
+from .streams import PrefixStream, ShiftedStream
 from .words import Morphism, alphabet_of
 
 
@@ -35,6 +35,13 @@ class PeriodicStream(PrefixStream):
         yield self.block * (n // len(self.block) + 1)
 
 
+# Letters in one piece of a read: an image stream maps at most this many
+# inner letters in one Morphism.apply, and a fixed point joins short
+# stretches until they hold this many. Few enough that a read maps fewer
+# than this many it does not need, and enough that a read holds few pieces.
+_PIECE = 4096
+
+
 class FixedPointStream(PrefixStream):
     """The unique fixed point of a morphism prolongable at a seed letter.
 
@@ -43,9 +50,10 @@ class FixedPointStream(PrefixStream):
     later one the image of the one before. A read maps only as many letters
     of the previous stretch as it still misses; they suffice, as no image
     is empty. So prefix_text(n) takes time linear in n even for a->ab,
-    b->b, which adds one letter a stretch. A fixed point needs a morphism
-    from its alphabet to itself: an image letter with no rule is a
-    ValueError, reached or not.
+    b->b, which adds one letter a stretch; such short stretches are joined
+    and yielded in pieces of _PIECE letters, so a read holds a few bytes a
+    letter. A fixed point needs a morphism from its alphabet to itself: an
+    image letter with no rule is a ValueError, reached or not.
     """
 
     def __init__(self, morphism: Morphism, seed: str) -> None:
@@ -66,16 +74,14 @@ class FixedPointStream(PrefixStream):
         yield stretch
         n -= len(stretch)  # from here on, the letters still missing
         stretch = stretch[1:]  # its first letter, seed, is mapped already
+        pieces, start = [], n
         while n > 0:
             stretch = apply(stretch[:n])
-            yield stretch
+            pieces.append(stretch)
             n -= len(stretch)
-
-
-# Inner letters an image stream maps in one Morphism.apply: few enough that
-# a read maps fewer than this many it does not need, and enough that a read
-# holds few pieces.
-_PIECE = 4096
+            if start - n >= _PIECE or n <= 0:
+                yield "".join(pieces)  # one long stretch is yielded uncopied
+                pieces, start = [], n
 
 
 class ImageStream(PrefixStream):
@@ -292,7 +298,7 @@ def resolve_generator(ref: str) -> PrefixStream:
             raise UnknownGeneratorError(
                 "shift takes an inner generator and an offset"
             ) from None
-        return shift(resolve_generator(inner), k)
+        return ShiftedStream(resolve_generator(inner), k)
     if head == "revclose":
         kwargs: dict[str, str] = {}
         for arg in args:

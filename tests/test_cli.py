@@ -526,6 +526,26 @@ def test_bad_word_letters_exit_2(capsys):
         assert (code, out, err) == (2, "", f"error: {message}\n"), argv
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["pal", "--gen", "fibonacci", "--horizon", "4194305"],
+         "--horizon 4194305 is over the limit of 4194304 letters"),
+        (["gen", "--gen", "fibonacci", "--horizon", "4194305"],
+         "--horizon 4194305 is over the limit of 4194304 letters"),
+        (["closure", "--gen", "paperfolding", "--horizon", "4194305"],
+         "--horizon 4194305 is over the limit of 4194304 letters"),
+        # closure lists every missing reversal, about k^2 of them.
+        (["closure", "--gen", "paperfolding", "--k", "65"],
+         "--k 65 is over the limit of 64"),
+    ],
+)
+def test_letters_and_closure_window_over_the_limit_exit_2(capsys, argv, message):
+    # One past each limit: refused before any stream is built.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_usage_error_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["pal"])  # neither --word nor --gen

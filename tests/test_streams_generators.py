@@ -26,7 +26,6 @@ from palindromics import (
     UnknownGeneratorError,
     preset_names,
     resolve_generator,
-    shift,
 )
 from palindromics.generators import PRESETS
 
@@ -213,15 +212,11 @@ SLICE_RANGES = [
 ]
 
 
-def test_read_is_a_slice_of_the_prefix():
+def test_prefix_slices_match_oracle():
     for spec, full in SLICE_SPECS.items():
         stream = resolve_generator(spec)
         for i, j in SLICE_RANGES:
-            assert stream.read(i, j) == full[i:j], (spec, i, j)
-    stream = resolve_generator("fib-abbab")
-    for i, j in [(4, 3), (-1, 3)]:
-        with pytest.raises(ValueError, match="0 <= i <= j"):
-            stream.read(i, j)
+            assert stream.prefix_text(j)[i:] == full[i:j], (spec, i, j)
 
 
 def test_shifted_image_prefixes_match_oracle():
@@ -276,16 +271,14 @@ def test_reads_leave_the_stream_unchanged(ref):
     stream = resolve_generator(ref)
     before = _state(stream)
     stream.prefix_text(5000)
-    stream.read(10, 20)
     assert _state(stream) == before
 
 
-# fix(a->ab,b->b,a) is left out: it adds one letter a stretch, and a read
-# holds one list slot per stretch, about 10 bytes a letter in all.
 @pytest.mark.parametrize(
     "ref",
     sorted(PRESETS)
-    + ["shift(paperfolding,1000)", "image(pairswap, shift(fib-abbab,7))"],
+    + ["shift(paperfolding,1000)", "image(pairswap, shift(fib-abbab,7))",
+       "fix(a->ab,b->b,a)"],
 )
 def test_prefix_peak_memory_is_a_few_bytes_a_letter(ref):
     stream = resolve_generator(ref)
@@ -337,24 +330,25 @@ class TestPeriodic:
 
 class TestShift:
     def test_periodic_shift(self):
-        assert shift(PeriodicStream("ab"), 1).prefix_text(4) == "baba"
+        assert ShiftedStream(PeriodicStream("ab"), 1).prefix_text(4) == "baba"
 
     def test_zero_shift_is_same_stream(self):
         s = PeriodicStream("ab")
-        assert shift(s, 0) is s
+        assert ShiftedStream(s, 0).prefix_text(9) == s.prefix_text(9)
 
     def test_fibonacci_shift(self):
-        assert shift(resolve_generator("fibonacci"), 1).prefix_text(5) == "baaba"
+        s = ShiftedStream(resolve_generator("fibonacci"), 1)
+        assert s.prefix_text(5) == "baaba"
 
     def test_nested_shifts_flatten(self):
-        s = shift(shift(resolve_generator("fibonacci"), 2), 3)
+        s = resolve_generator("shift(shift(fibonacci,2),3)")
         assert s.prefix_text(10) == resolve_generator("fibonacci").prefix_text(15)[5:]
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            shift(PeriodicStream("ab"), -1)
         with pytest.raises(ValueError, match="non-negative"):
             ShiftedStream(PeriodicStream("ab"), -1)
+        with pytest.raises(ValueError, match="non-negative"):
+            resolve_generator("shift(fibonacci,-1)")
 
 
 class TestReversalClosure:
