@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .paltree import PalTree
@@ -194,10 +195,11 @@ def stabilized_pal_set(s: PrefixStream, cap: int = 16384) -> StabilizedPalSet:
 class ClosureReport:
     """Window evidence for closure under reversal.
 
-    Every factor of prefix(horizon/2) of length up to k is searched, reversed,
-    in prefix(horizon). A missing pair refutes closure; an empty report
-    supports (but cannot prove) it. closed_up_to is the largest length below
-    which no reversal is missing.
+    For every factor u of prefix(horizon/2) of length up to k, the reversal
+    of u must be a factor of prefix(horizon); each u whose reversal is not
+    is listed with it, by length, then lexicographically. A missing pair
+    refutes closure; an empty report supports (but cannot prove) it.
+    closed_up_to is the largest length below which no reversal is missing.
     """
 
     k: int
@@ -210,25 +212,44 @@ class ClosureReport:
         return not self.witness_missing
 
 
+def _factor_sets(text: str, k: int) -> Iterator[set[str]]:
+    """The sets of factors of text of lengths 1, 2, ..., k, one at a time.
+
+    text's length-k factors are sliced once; a length-n factor is the
+    length-n prefix of one of them, or starts in the last k - 1 letters and
+    lies inside them.
+    """
+    longest = {text[i : i + k] for i in range(len(text) - k + 1)}
+    tail = text[len(text) - k + 1 :]
+    for n in range(1, k + 1):
+        yield {u[:n] for u in longest}.union(
+            tail[i : i + n] for i in range(len(tail) - n + 1)
+        )
+
+
 def reversal_closure_check(
     s: PrefixStream, k: int, horizon: int = 4096
 ) -> ClosureReport:
-    """Search the reversal of every short factor of the first half window.
+    """Check the reversal of every short factor of the first half window.
 
-    The factors are gathered one length at a time, shortest first, so the
-    window holds the factors of a single length at once.
+    Each window, the first half and the whole prefix, is sliced into its
+    length-k factors once: about 1.5 * horizon slices of k letters. Each
+    shorter length's factors are read off those sets, one length at a time,
+    at the cost of the sets' sizes, and a reversal is missing when it is
+    not among the whole window's factors of its length: a set lookup, not
+    a search of the window. Besides the prefix, the check holds the two
+    windows' length-k sets and their sets of one length at a time, which
+    grow with the word's factor complexity, not with the horizon.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     if horizon < 4 * k:
         raise ValueError("horizon must be at least 4k")
     full = s.prefix_text(horizon)
-    half = full[: horizon // 2]
     missing = []
-    for n in range(1, k + 1):
-        for u in sorted({half[i : i + n] for i in range(len(half) - n + 1)}):
-            if u[::-1] not in full:
-                missing.append((u, u[::-1]))
+    half_sets = _factor_sets(full[: horizon // 2], k)
+    for found, seen in zip(half_sets, _factor_sets(full, k)):
+        missing += [(u, u[::-1]) for u in sorted(found) if u[::-1] not in seen]
     return ClosureReport(
         k=k,
         horizon=horizon,

@@ -7,9 +7,12 @@ for. JSON is laid out by json's own encoder. A listing of palindromes or
 words in a record is a _Words: its letters are checked once to be in a..h,
 before any output, so its words need no escaping and are written as
 themselves, in the layout the encoder gives the list, while they are
-consumed. Errors go to stderr. Exit codes: 0 success/verified, 1 refuted
-claim, 2 usage error, 141 (128 + SIGPIPE) when the reader closed stdout
-early, as in ``| head``; that exit prints nothing to stderr.
+consumed. Output leaves in writes of at least _BLOCK characters, only the
+last shorter; a write holds less than _BLOCK characters plus one word, so
+no listing is held whole. Errors go to stderr. Exit codes: 0
+success/verified, 1 refuted claim, 2 usage error, 141 (128 + SIGPIPE) when
+the reader closed stdout early, as in ``| head``; that exit prints nothing
+to stderr.
 """
 
 from __future__ import annotations
@@ -42,10 +45,15 @@ from .words import SYMBOLS, alphabet, alphabet_of, least_period
 # cap; gen and closure hold a few copies of the prefix.
 _MAX_LETTERS = 1 << 22
 
-# Longest factors closure checks. It lists every missing reversal, about k^2
-# of them on a word that misses many (paperfolding at k = 1024: 1,114,995
-# pairs, 1.48 GB); at 64, a word of linear factor complexity lists a few MB.
+# Longest factors closure checks. The limit bounds the output, not the
+# search: the report lists every missing reversal, about k^2 of them on a
+# word that misses many (paperfolding at horizon 4096: 8,179 pairs and
+# 2.2 MB at k = 64, 131,443 and 68 MB at k = 256, 1,114,995 and 1.48 GB at
+# k = 1024).
 _MAX_CLOSURE_K = 64
+
+# Least characters in one stdout write; only the last write is shorter.
+_BLOCK = 1 << 16
 
 
 def _check_letters(*flags: tuple[str, int | None]) -> None:
@@ -71,6 +79,29 @@ class _Words:
         self.words = iter(words)
 
 
+class _Blocks:
+    """_emit's writer: pieces are held until they reach _BLOCK characters,
+    then go to stdout as one write, so a block holds at most _BLOCK - 1
+    characters plus its last piece; close() writes what is left."""
+
+    def __init__(self) -> None:
+        self.pieces: list[str] = []
+        self.size = 0
+
+    def write(self, piece: str) -> None:
+        self.pieces.append(piece)
+        self.size += len(piece)
+        if self.size >= _BLOCK:
+            self.close()
+
+    def close(self) -> None:
+        if self.pieces:
+            block = "".join(self.pieces)
+            self.pieces.clear()
+            self.size = 0
+            sys.stdout.write(block)
+
+
 def _emit(
     fmt: str, record: Callable[[], object], lines: Iterable[str | Iterable[str]]
 ) -> None:
@@ -79,50 +110,58 @@ def _emit(
     record is called only for JSON, and lines is iterated only for text, so
     neither format builds what the other prints. The JSON is the text of
     json.dumps(record(), sort_keys=True, indent=2), laid out by json's own
-    encoder and written in its pieces. A listing (_Words, its letters
-    checked once) reaches the encoder as the placeholder [""], or [] when
-    it is empty. The chunk that opens the placeholder, "[" with the newline
-    and indent and then "", gives the layout, and the words are written in
-    it as themselves, one per write, as they are consumed: no listing is
-    held whole or escaped. Any other value json cannot write, a bare
-    iterator too, raises json's TypeError. A line is a str, or an iterable
-    of parts written one by one, separated by spaces, without joining them.
+    encoder. A listing (_Words, its letters checked once) reaches the
+    encoder as the placeholder [""], or [] when it is empty. The chunk that
+    opens the placeholder, "[" with the newline and indent and then "",
+    gives the layout, and the words are written in it as themselves, as
+    they are consumed: no listing is held whole or escaped. Any other value
+    json cannot write, a bare iterator too, raises json's TypeError. A line
+    is a str, or an iterable of parts written one by one, separated by
+    spaces, without joining them. Encoder chunks, words, lines and parts
+    all go through one _Blocks, so stdout sees writes of at least _BLOCK
+    characters, never a whole listing; what precedes an error is written.
     """
-    write = sys.stdout.write
-    if fmt == "json":
-        opened: list[Iterator[str]] = []
+    out = _Blocks()
+    write = out.write
+    try:
+        if fmt == "json":
+            opened: list[Iterator[str]] = []
 
-        def default(value: object) -> list:
-            if not isinstance(value, _Words):
-                return json.JSONEncoder.default(encoder, value)  # raises TypeError
-            first = next(value.words, None)
-            if first is None:
-                return []
-            opened.append(chain((first,), value.words))
-            return [""]
+            def default(value: object) -> list:
+                if not isinstance(value, _Words):
+                    return json.JSONEncoder.default(encoder, value)  # raises TypeError
+                first = next(value.words, None)
+                if first is None:
+                    return []
+                opened.append(chain((first,), value.words))
+                return [""]
 
-        encoder = json.JSONEncoder(sort_keys=True, indent=2, default=default)
-        for chunk in encoder.iterencode(record()):
-            if not opened:
+            encoder = json.JSONEncoder(sort_keys=True, indent=2, default=default)
+            for chunk in encoder.iterencode(record()):
+                if opened:
+                    # default has just met a listing, and chunk opens its placeholder.
+                    head = chunk[:-1]
+                    between = '"' + encoder.item_separator + chunk[1:-1]
+                    for word in opened.pop():
+                        write(head)
+                        write(word)
+                        head = between
+                    chunk = '"'
                 write(chunk)
-                continue
-            # default has just met a listing, and chunk opens its placeholder.
-            head, between = chunk[:-1], '"' + encoder.item_separator + chunk[1:-1]
-            for word in opened.pop():
-                write(head + word)
-                head = between
-            write('"')
-        write("\n")
-        return
-    for line in lines:
-        if isinstance(line, str):
-            print(line)
-            continue
-        sep = ""
-        for part in line:
-            write(sep + part)
-            sep = " "
-        write("\n")
+            write("\n")
+            return
+        for line in lines:
+            if isinstance(line, str):
+                write(line)
+            else:
+                sep = ""
+                for part in line:
+                    write(sep)
+                    write(part)
+                    sep = " "
+            write("\n")
+    finally:
+        out.close()
 
 
 _COMPARE = {"==": operator.eq, "<=": operator.le, ">=": operator.ge}

@@ -235,9 +235,43 @@ class TestClosureCheck:
             report = reversal_closure_check(stream, k, 256)
             assert list(report.witness_missing) == naive_missing_reversals(text, k)
 
+    @pytest.mark.parametrize(
+        "stream",
+        [
+            resolve_generator("paperfolding"),
+            resolve_generator("fib-bc"),
+            resolve_generator("fold-pairswap"),
+            resolve_generator("quadfold"),
+            resolve_generator("pow:ab"),
+            PeriodicStream("aa"),
+        ],
+        ids=["paperfolding", "fib-bc", "fold-pairswap", "quadfold", "pow:ab", "aa"],
+    )
+    def test_matches_oracle_at_the_window_edge(self, stream):
+        # At horizon 4k, the least the check allows, the half window is 2k
+        # letters, so the factors that start in its last k - 1 letters are
+        # a large share of each length's.
+        for k in range(1, 17):
+            text = stream.prefix_text(4 * k)
+            report = reversal_closure_check(stream, k, 4 * k)
+            assert list(report.witness_missing) == naive_missing_reversals(text, k), k
+        text = stream.prefix_text(512)
+        oracle = naive_missing_reversals(text, 16)
+        for k in range(1, 17):
+            report = reversal_closure_check(stream, k, 512)
+            assert list(report.witness_missing) == [p for p in oracle if len(p[0]) <= k], k
+
+    def test_paperfolding_at_the_cli_k_limit(self):
+        report = reversal_closure_check(
+            resolve_generator("paperfolding"), k=64, horizon=65536
+        )
+        assert len(report.witness_missing) == 8179
+        assert report.closed_up_to == 4
+
     def test_peak_memory_holds_one_factor_length(self):
         # All 200 factor lengths of the half window held at once peak at
-        # about 7.4 MB; one length at a time, well under 0.1 MB.
+        # about 7.4 MB. The check holds each window's length-200 factors
+        # and its factors of one shorter length at a time: about 0.36 MB.
         stream = resolve_generator("fibonacci")
         stream.prefix_text(1024)
         tracemalloc.start()
