@@ -8,14 +8,46 @@ proper palindromic suffix of each node's palindrome, which is always strictly
 shorter.
 
 Letters enter in two ways. extend(text) is the bulk path for long texts (the
-stabilizer, `pal --gen`, long prefixes of the named words): one loop with the
-tree's lists bound to locals and both suffix-link climbs written inline.
-push(ch) and pop() let a depth-first search grow and shrink the text letter
-by letter (the undoable eertree of Rubinchik & Shur, "EERTREE",
-arXiv:1506.04862). push() writes out the same step for one letter and also
-records the suffix it started from and the node it gave a child, so pop()
-clears that edge without climbing again; extend() pays nothing for undo.
-A push() routed through extend() made depth-48 returns scans a fifth slower.
+stabilizer, `pal --gen`, long prefixes of the named words). push(ch) and
+pop() let a depth-first search grow and shrink the text letter by letter
+(the undoable eertree of Rubinchik & Shur, "EERTREE", arXiv:1506.04862).
+push() writes out the letter step and also records the suffix it started
+from and the node it gave a child, so pop() clears that edge without
+climbing again; extend() pays nothing for undo. A push() routed through
+extend() made depth-48 returns scans a fifth slower.
+
+extend() takes each letter by one of three paths:
+- The letter loop: one step per letter, the tree's lists bound to locals
+  and both suffix-link climbs written inline. It reads the text _CHUNK
+  letters at a time while the window table below is on, _PIECE after.
+- Repeated windows. A chunk's window is the _BACK letters before it, then
+  the chunk. While no palindrome is longer than _BACK - 2 letters, a chunk
+  whose window came before in the same call, around a chunk that made no
+  node, makes no node and ends on the node stored for that window; it is
+  not read. Each letter's longest palindromic suffix is c.x.c for x a
+  palindromic suffix one letter earlier, so at most two letters longer
+  than the one before. The one before the chunk is at most _BACK - 2
+  long, so the one at the chunk's first letter lies inside the window and
+  is the same palindrome as at the stored occurrence. There it was an
+  existing node, at most _BACK - 2 long, and the argument repeats letter
+  by letter. The table holds at most _SEEN windows, and extend() stops
+  looking them up once it is full: on a text whose windows do not repeat,
+  such as random text, only the first _SEEN chunks pay for it.
+- Mirror runs. A node just made has no child. While the next letter equals
+  the one before the new palindrome's occurrence, it mirrors that letter
+  across the palindrome's centre, so each letter makes the child of the
+  node before, two letters longer and ending one letter later, with no
+  climb to find it. Slice comparisons of at most _PIECE letters find the
+  run's length; the lengths and first ends go in with one extend() each,
+  and each node's suffix link is climbed as in the letter loop. A run
+  starts only when two letters mirror, so one-letter runs, common in
+  random text, stay in the letter loop. A run whose mirror letters would
+  fall before this call's text stops there.
+On a 2^20-letter prefix, the paperfolding word, fib-abbab and closed13
+(12 to 30 nodes) are nearly all repeated windows, and the Fibonacci and
+Thue-Morse words, where almost every letter makes a node, nearly all mirror
+runs. Random binary text takes nearly all the letter loop, and a^n, whose
+palindromic suffix is the whole prefix, all of it.
 
 Edges are stored as one list per letter, indexed by node: _to[ch][v] is
 the child of v by ch, and 0 means no child. 0 can stand for "none" because
@@ -32,7 +64,11 @@ a node, a tree takes about 110 bytes per node under tracemalloc, against
 165 with a dict of edges per letter and 322 with a dict per node. The
 lists cost 8k to 10k bytes a node for k letters, whatever the node's
 children, so at k = 8 they outgrow a dict entry per edge (about 48
-bytes); the long rich texts here use 2 to 4 letters.
+bytes); the long rich texts here use 2 to 4 letters. A tree with few
+nodes costs the 8 bytes a letter of its text list: a 2^18-letter
+paperfolding tree peaks at 8.01 bytes a letter. The window table, at most
+_SEEN windows of _BACK + _CHUNK letters (about 0.25 MB), lives only while
+extend() runs.
 
 A node is created at the first position where its palindrome ends, and at
 most one node per position, so creation order is the order of first
@@ -51,6 +87,37 @@ from itertools import groupby
 
 
 _ROOT_ENDS = array("q", [0, 0])  # copied per tree, faster than building it
+_CHUNK = 64  # letters the letter loop takes at a time
+_BACK = 64  # letters before a chunk in its window
+_SEEN = 1024  # windows held before extend() stops looking them up
+_PIECE = 1024  # longest slice of the text that extend() makes
+_BY_LETTER = 16  # letters a mirror run compares one at a time
+
+
+def _mirror_run(text: str, a: int, b: int, limit: int) -> int:
+    """The greatest r <= limit with text[a:a + r] == text[b - r:b][::-1].
+
+    The first _BY_LETTER letters are compared one at a time, as most runs
+    end there. Past them, slices double in length up to _PIECE letters and
+    halve once one differs."""
+    r, by_letter = 0, min(limit, _BY_LETTER)
+    while r < by_letter and text[a + r] == text[b - 1 - r]:
+        r += 1
+    if r < _BY_LETTER:
+        return r
+    step, grow = r, True
+    while r < limit:
+        step = min(step, limit - r)
+        if text[a + r : a + r + step] == text[b - r - step : b - r][::-1]:
+            r += step
+            if grow and step < _PIECE:
+                step *= 2
+        elif step == 1:
+            break
+        else:
+            grow = False
+            step >>= 1
+    return r
 
 
 class PalTree:
@@ -90,39 +157,110 @@ class PalTree:
         self.extend(text)
 
     def extend(self, text: str) -> None:
-        """Process the letters of text in order; pop() cannot undo them."""
+        """Process the letters of text in order; pop() cannot undo them.
+
+        Each letter takes one of three paths, and all three give the tree
+        the letter loop alone gives (the module docstring says why):
+        - the letter loop, _CHUNK letters at a time;
+        - while no palindrome is longer than _BACK - 2 letters, a chunk
+          whose window came before in this call, around a chunk that made
+          no node, ends on that chunk's node without being read;
+        - after a new node, a mirror run: each letter makes the next node,
+          two letters longer, and only its suffix link is climbed.
+        The window table holds at most _SEEN windows and is dropped once
+        full. A tree costs the 8 bytes a letter of its text list plus
+        about 110 bytes a node under tracemalloc.
+        """
         s, lens, links, first_end, to = (
             self._s, self._len, self._link, self._first_end, self._to
         )
         cap = self._cap
         start = len(s) - 1
+        stop = start + len(text)
         s.extend(text)
         v = self._suffix
-        # ch is letter i, s[i + 1]. It extends the palindromic suffix v when
-        # the letter before v's occurrence, s[i - len(v)], is ch too.
-        for i, ch in enumerate(text, start):
-            while s[i - lens[v]] != ch:
-                v = links[v]
-            edges = to.get(ch)
-            if edges is None:
-                edges = to[ch] = [0] * cap
-            nxt = edges[v]
-            if not nxt:
-                n = lens[v] + 2
-                if n == 1:
-                    link = 1
-                else:
-                    w = links[v]
-                    while s[i - lens[w]] != ch:
-                        w = links[w]
-                    link = edges[w]
-                nxt = edges[v] = len(lens)
-                lens.append(n)
-                links.append(link)
-                first_end.append(i + 1)
-                if nxt + 1 == cap:
-                    cap = self._widen()
+        # window -> the node a chunk after it ends on; None once off.
+        seen = {} if len(text) > _BACK else None
+        made = 0  # nodes from made on are not yet checked against _BACK
+        p = 0  # text[p] is the next letter, letter start + p
+        while p < len(text):
+            if seen is not None and len(lens) > made:
+                if max(lens[made:]) > _BACK - 2:
+                    seen = None
+            made = len(lens)
+            q = p + (_CHUNK if seen is not None else _PIECE)
+            window = None
+            if seen is not None and p >= _BACK:
+                window = text[p - _BACK : q]
+                nxt = seen.get(window)
+                if nxt is not None:
+                    v = nxt
+                    p = q
+                    continue
+            # ch is letter i, s[i + 1]. It extends the palindromic suffix v
+            # when the letter before v's occurrence, s[i - len(v)], is ch.
+            for i, ch in enumerate(text[p:q], start + p):
+                while s[i - lens[v]] != ch:
+                    v = links[v]
+                edges = to.get(ch)
+                if edges is None:
+                    edges = to[ch] = [0] * cap
+                nxt = edges[v]
+                if not nxt:
+                    n = lens[v] + 2
+                    if n == 1:
+                        link = 1
+                    else:
+                        w = links[v]
+                        while s[i - lens[w]] != ch:
+                            w = links[w]
+                        link = edges[w]
+                    nxt = edges[v] = len(lens)
+                    lens.append(n)
+                    links.append(link)
+                    first_end.append(i + 1)
+                    if nxt + 1 == cap:
+                        cap = self._widen()
+                    # Letters i + 1 and i + 2 mirror letters i - n and
+                    # i - n - 1 across the new palindrome. All four inside
+                    # text and each pair equal: a run of two or more starts.
+                    if (
+                        i - n > start
+                        and i + 2 < stop
+                        and s[i + 2] == s[i + 1 - n]
+                        and s[i + 3] == s[i - n]
+                    ):
+                        break
+                v = nxt
+            else:
+                if window is not None and len(lens) == made:
+                    seen[window] = v
+                    if len(seen) == _SEEN:
+                        seen = None
+                p = q
+                continue
+            # Node nxt, n letters long, ended at letter i and has no child.
+            # While letter i + k equals letter i - n + 1 - k, letter i + k
+            # makes the child of the node before, n + 2k long and first
+            # ending at letter i + k; only its suffix link needs a climb.
             v = nxt
+            j = i + 1 - start
+            run = _mirror_run(text, j, j - n, min(stop - i - 1, j - n))
+            while len(lens) + run >= cap:
+                cap = self._widen()
+            lens.extend(range(n + 2, n + 2 * run + 1, 2))
+            first_end.extend(range(i + 2, i + run + 2))
+            for i in range(i + 1, i + run + 1):
+                ch = s[i + 1]
+                edges = to[ch]
+                w = links[v]
+                while s[i - lens[w]] != ch:
+                    w = links[w]
+                # The new node is len(links). edges[v] is written first, then
+                # v; len() makes a 28-byte int where v + 1 makes a 32-byte one.
+                edges[v] = v = len(links)
+                links.append(edges[w])
+            p = j + run
         self._suffix = v
 
     def push(self, ch: str) -> int:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from palindromics import PalTree, pal_set, resolve_generator
+from palindromics import PalTree, pal_set, paltree, resolve_generator
+from palindromics.generators import PRESETS
 
 from conftest import (
     all_words,
@@ -107,6 +108,78 @@ def test_extend_and_push_agree_on_eight_letters():
         for k in range(len(s) - 1, -1, -1):
             pushed.pop()
             assert _state(pushed) == _state(PalTree(s[:k])), (s, k)
+
+
+def _long_texts():
+    """(id, text) pairs long enough for extend()'s window table and mirror
+    runs: each preset once (aliases skipped) at 2^14 to 2^16 letters, the
+    Thue-Morse word, two periodic words whose palindromic suffix is the
+    whole prefix, the closed ternary word, seeded random texts over one to
+    four letters, one random binary text that fills the window table, and
+    a text that repeats 64-letter chunks, one of them after a new
+    palindrome, aea, that begins before the chunk and ends in it."""
+    specs = [name for name, ref in sorted(PRESETS.items()) if ref not in PRESETS]
+    specs += ["fix(a->ab,b->ba,a)", "pow:a", "pow:ab", "revclose(U0=abcaab, inserts=[ac])"]
+    for k, spec in enumerate(specs):
+        yield spec, resolve_generator(spec).prefix_text(1 << (14 + k % 3))
+    rng = random.Random(24)
+    for k in range(1, 5):
+        yield f"random-{k}", "".join(rng.choice("abcd"[:k]) for _ in range(1 << 14))
+    n = 2 * paltree._SEEN * paltree._CHUNK
+    yield "random-seen", "".join(rng.choice("ab") for _ in range(n))
+    period = "abc" * 64 * 5
+    yield "aea-across-a-chunk", period + "abc" * 20 + "bdae" + period
+
+
+LONG_TEXTS = dict(_long_texts())
+
+
+def _first_ends(tree):
+    """Prefix length -> length of the palindrome first ending there."""
+    return {end: n for n, ends in tree.ends_by_length() if n for end in ends}
+
+
+@pytest.mark.parametrize("name", LONG_TEXTS)
+def test_long_texts_agree_built_split_and_pushed(name):
+    # One extend() takes the window table and mirror runs where they apply;
+    # split extends restart both at each cut, and push() takes neither.
+    text = LONG_TEXTS[name]
+    rng = random.Random(name)
+    whole = PalTree(text)
+    cuts = sorted(rng.sample(range(1, len(text)), 8))
+    split = PalTree(text[: cuts[0]])
+    for a, b in zip(cuts, cuts[1:] + [len(text)]):
+        split.extend(text[a:b])
+    pushed = PalTree()
+    for ch in text:
+        pushed.push(ch)
+    assert _state(split) == _state(whole)
+    assert _state(pushed) == _state(whole)
+    if name in ("fibonacci", "fix(a->ab,b->ba,a)"):
+        # Some cut splits a mirror run: the letters on both sides of it
+        # make palindromes of lengths n and n + 2.
+        made = _first_ends(whole)
+        assert any(made.get(c, -9) + 2 == made.get(c + 1) for c in cuts)
+    # push() reads the suffix links and edges that extend() wrote.
+    tail = "".join(rng.choice(sorted(set(text))) for _ in range(300))
+    for ch in tail:
+        grown = {whole.push(ch), split.push(ch), pushed.push(ch)}
+        assert len(grown) == 1, (name, ch)
+    assert _state(split) == _state(whole) == _state(pushed)
+
+
+def test_peak_memory_with_few_palindromes():
+    # A tree with few nodes holds one list entry per letter, 8 bytes; the
+    # window table of extend() must stay bounded on top of it.
+    text = resolve_generator("paperfolding").prefix_text(1 << 18)
+    tracemalloc.start()
+    try:
+        tree = PalTree(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tree.distinct_palindromes == 28
+    assert peak < 9 * len(text), peak / len(text)
 
 
 def test_peak_memory_per_letter():
