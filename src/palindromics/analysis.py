@@ -64,21 +64,18 @@ class PalReport(_TreeListing):
 def pal_set(s: str) -> PalReport:
     """Exact set of distinct palindromic factors of s, including the empty word.
 
-    Runs in O(|s| * |alphabet|) time through the palindromic tree. The tree
-    gives the first ends of each length in order of first occurrence, the
-    empty root's (0, [0]) first, so the longest reported is the earliest to
-    occur among those of maximal length.
+    Runs in O(|s| * |alphabet|) time through the palindromic tree. The
+    counts per length are one count over the node lengths, and the longest
+    reported is the earliest to occur among those of maximal length.
     """
     tree = PalTree(s)
-    per_length = {}
-    for n, ends in tree.ends_by_length():  # one length's ends at a time
-        per_length[n] = len(ends)
+    n, ends = tree.longest_ends()
     return PalReport(
         tree=tree,
         word_length=len(s),
         count=tree.distinct_palindromes + 1,
         longest=s[ends[0] - n : ends[0]],
-        per_length=per_length,
+        per_length=tree.length_counts(),
     )
 
 
@@ -178,9 +175,8 @@ def stabilized_pal_set(s: PrefixStream, cap: int = 16384) -> StabilizedPalSet:
         fed = target
     stable_horizon = max(tree.last_growth, 1)
     stable = fed >= max(start, 2 * stable_horizon)
-    for n, ends in tree.ends_by_length():  # stops at the maximal length
-        pass
     text = tree.text
+    n, ends = tree.longest_ends()
     return StabilizedPalSet(
         tree=tree,
         count=tree.distinct_palindromes + 1,

@@ -7,14 +7,11 @@ non-empty palindromic factors seen so far. Suffix links point to the longest
 proper palindromic suffix of each node's palindrome, which is always strictly
 shorter.
 
-Letters enter in two ways. extend(text) is the bulk path for long texts (the
-stabilizer, `pal --gen`, long prefixes of the named words). push(ch) and
-pop() let a depth-first search grow and shrink the text letter by letter
-(the undoable eertree of Rubinchik & Shur, "EERTREE", arXiv:1506.04862).
-push() writes out the letter step and also records the suffix it started
-from and the node it gave a child, so pop() clears that edge without
-climbing again; extend() pays nothing for undo. A push() routed through
-extend() made depth-48 returns scans a fifth slower.
+Letters enter through extend(text). The one other writer of the tree's
+lists is search.PalWalk, which runs the undoable step of Rubinchik & Shur
+("EERTREE", arXiv:1506.04862) on them, adding a letter on the way down and
+taking it back on the way up. It keeps extend()'s rules: one child list per
+letter, each longer than the node count and 0 past it.
 
 extend() takes each letter by one of three paths:
 - The letter loop: one step per letter, the tree's lists bound to locals
@@ -54,9 +51,8 @@ the child of v by ch, and 0 means no child. 0 can stand for "none" because
 node 0, the length -1 root, is never a child. All the lists have one
 length, kept above the node count: a letter's list is made, all 0, the
 first time the letter comes, and when the nodes reach that length every
-list grows by a quarter. pop() clears the edge and leaves the lengths.
-Appending a 0 to every list per node instead made 13-letter trees a sixth
-slower to build and push()/pop() a fifth slower. The first ends sit in an
+list grows by a quarter. Appending a 0 to every list per node instead
+made 13-letter trees a sixth slower to build. The first ends sit in an
 array("q"), 8 bytes a node with no int object; lengths and suffix links,
 read on every letter, stay lists, as reading an array makes a new int
 object on each access. On the Fibonacci word, where every letter creates
@@ -75,13 +71,13 @@ most one node per position, so creation order is the order of first
 occurrence: among palindromes of one length, the earlier-created one also
 starts earlier. ends_by_length() keeps that order within each length, from
 the empty root's (0, [0]) up, and palindromes() is report order: "" first,
-then by length, then lexicographic. last_growth is the first end of the
-newest node, so push() and pop() need not track it.
+then by length, then lexicographic. last_growth is the newest first end.
 """
 
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from collections.abc import Iterator
 from itertools import groupby
 
@@ -126,8 +122,7 @@ class PalTree:
     Node 0 is the length -1 root, node 1 the length 0 (empty) root. Each
     real node stores its palindrome length, suffix link and the prefix
     length at its first occurrence (its first end; 0 for the roots);
-    ``_to[ch][v]`` is the child of v by ch, or 0 for none, in one list per
-    letter seen; ``_undo`` holds one (suffix, parent) record per push().
+    ``_to[ch][v]`` is the child of v by ch, or 0 for none; a list per letter.
     """
 
     __slots__ = (
@@ -138,7 +133,6 @@ class PalTree:
         "_cap",
         "_first_end",
         "_suffix",
-        "_undo",
     )
 
     def __init__(self, text: str = "") -> None:
@@ -152,12 +146,10 @@ class PalTree:
         self._cap = 16  # length of every list in _to, more than node_count
         self._first_end = _ROOT_ENDS[:]
         self._suffix = 1  # longest palindromic suffix of the processed prefix
-        # parent is the node a push gave a child, or -1 if it created none.
-        self._undo: list[tuple[int, int]] = []
         self.extend(text)
 
     def extend(self, text: str) -> None:
-        """Process the letters of text in order; pop() cannot undo them.
+        """Process the letters of text in order.
 
         Each letter takes one of three paths, and all three give the tree
         the letter loop alone gives (the module docstring says why):
@@ -263,45 +255,6 @@ class PalTree:
             p = j + run
         self._suffix = v
 
-    def push(self, ch: str) -> int:
-        """Append one letter so that pop() can take it back.
-
-        Returns the length of the palindrome the letter created (it is then
-        the longest palindromic suffix), or 0 when no node was created.
-        Pushes and pops nest like a stack; an extend() in between is not
-        undoable and must not be followed by a pop() of an earlier push.
-        """
-        s, lens, links, to = self._s, self._len, self._link, self._to
-        i = len(s) - 1
-        s.append(ch)
-        suffix = v = self._suffix
-        while s[i - lens[v]] != ch:
-            v = links[v]
-        edges = to.get(ch)
-        if edges is None:
-            edges = to[ch] = [0] * self._cap
-        nxt = edges[v]
-        if nxt:
-            self._undo.append((suffix, -1))
-            self._suffix = nxt
-            return 0
-        n = lens[v] + 2
-        if n == 1:
-            link = 1
-        else:
-            w = links[v]
-            while s[i - lens[w]] != ch:
-                w = links[w]
-            link = edges[w]
-        self._undo.append((suffix, v))
-        self._suffix = edges[v] = len(lens)
-        lens.append(n)
-        links.append(link)
-        self._first_end.append(i + 1)
-        if len(lens) == self._cap:
-            self._widen()
-        return n
-
     def _widen(self) -> int:
         """Lengthen every child list by a quarter, plus 8, and return the
         new length. A step this large outgrows list's own over-allocation,
@@ -311,16 +264,6 @@ class PalTree:
             table += more
         self._cap += len(more)
         return self._cap
-
-    def pop(self) -> None:
-        """Undo the latest push(), restoring the tree it started from."""
-        self._suffix, parent = self._undo.pop()
-        ch = self._s.pop()
-        if parent >= 0:
-            self._to[ch][parent] = 0
-            self._len.pop()
-            self._link.pop()
-            self._first_end.pop()
 
     @property
     def text(self) -> str:
@@ -363,3 +306,20 @@ class PalTree:
         order = sorted(range(1, len(lens)), key=lens.__getitem__)
         for n, nodes in groupby(order, key=lens.__getitem__):
             yield n, [first_end[v] for v in nodes]
+
+    def length_counts(self) -> dict[int, int]:
+        """n -> number of palindromes of length n, for each length present,
+        "" included: one count over the node lengths, in no set order."""
+        return dict(Counter(self._len[1:]))
+
+    def longest_ends(self) -> tuple[int, list[int]]:
+        """(n, first ends of the palindromes of maximal length n) in creation
+        order, so the first is the earliest to occur; (0, [0]) for no
+        palindrome. Each scan of the lengths (max, count, index) runs in C."""
+        lens = self._len
+        n = max(lens)
+        v, ends = 0, []
+        for _ in range(lens.count(n)):
+            v = lens.index(n, v + 1)
+            ends.append(self._first_end[v])
+        return n, ends

@@ -7,6 +7,10 @@ and are checked only on the words evidence is read from: the return scan
 reads complete first returns off the walk's maximal words, those the walk
 does not extend, with the same complete_first_returns that replays a
 witness.
+
+Every scan here is a PalWalk, whose own loop runs the undoable eertree step
+and its undo on a PalTree's lists. A letter the constraints reject costs its
+forbidden-factor lookups or one suffix-link climb, and writes nothing.
 """
 
 from __future__ import annotations
@@ -136,21 +140,23 @@ class PalWalk:
 
     Iterating yields (depth, word) for each visited word in preorder, the
     empty root first. While the consumer holds a word, ``tree`` is the
-    palindromic tree of exactly that word: the walk adds a letter with
-    PalTree.push on the way down and takes it back with PalTree.pop on the
-    way back, so every prefix is processed once for all the words that
-    share it. With canonical=True a letter is tried only up to one past the
-    largest letter used so far, which visits one member of each renaming
-    class.
+    palindromic tree of exactly that word: the walk runs the undoable
+    eertree step (Rubinchik & Shur, arXiv:1506.04862) on the tree's lists,
+    adding a letter on the way down and restoring the tree from per-depth
+    records on the way back, so every prefix is processed once for all the
+    words that share it. With canonical=True a letter is tried only up to
+    one past the largest letter used so far, which visits one member of
+    each renaming class.
 
-    A palindrome is new exactly when the push creates a node, and only then
-    are the cap and budget charged. Backtracking voids the eertree's
-    amortized bound on the suffix-link climb, so one push may climb the
-    whole chain of palindromic suffixes of the word. That chain stays short:
-    it has at most depth + 2 nodes and no more than the tree holds, which
-    the budget or cap keeps to a dozen or so in the constrained scans; depth
-    is at most 48 in the returns claims, 64 in deepest_word and 14 in the
-    exhaustive scans.
+    A palindrome is new exactly when the letter would create a node, and
+    only then are the cap and budget charged, after the suffix-link climb
+    and before anything is written: a rejected letter costs that climb and
+    leaves the tree as it was. Backtracking voids the eertree's amortized
+    bound on the climb, so one letter may climb the whole chain of
+    palindromic suffixes of the word: at most depth + 2 nodes, which the
+    budget or cap keeps to a dozen or so in the constrained scans. The tree
+    holds at most max_len + 2 nodes, so each letter's child list is made
+    once, here, longer than that.
     """
 
     def __init__(
@@ -159,24 +165,33 @@ class PalWalk:
         self.constraints = constraints
         self.max_len = max_len
         self.canonical = canonical
-        self.tree = PalTree()
+        self.tree = tree = PalTree()
+        tree._cap = size = max(tree._cap, max_len + 3)
+        for ch in constraints.alphabet:
+            tree._to[ch] = [0] * size
         self.stats = SearchStats()
 
     def __iter__(self):
         c = self.constraints
-        symbols = c.alphabet
+        symbols, forbidden = c.alphabet, c.forbidden_factors
         k = len(symbols)
-        forbidden = c.forbidden_factors
         forbidden_sizes = sorted({len(f) for f in forbidden})
         cap, budget = c.pal_length_cap, c.pal_budget
         assumed = c.assumed_palindromes
         max_len, canonical, stats = self.max_len, self.canonical, self.stats
-        push, pop = self.tree.push, self.tree.pop
-        # Per depth: the word, its budget charge, letters tried, letters allowed.
+        tree = self.tree
+        s, lens, links, first_end, to = (
+            tree._s, tree._len, tree._link, tree._first_end, tree._to
+        )
+        # Per depth: the word, its budget charge, letters tried, letters
+        # allowed, its longest palindromic suffix, and the node its last
+        # letter gave a child (-1 for none).
         words = [""] * (max_len + 1)
         charged = [len(assumed | {""})] * (max_len + 1)
         tried = [0] * (max_len + 1)
         limit = [1 if canonical else k] * (max_len + 1)
+        suffix = [1] * (max_len + 1)
+        parent = [-1] * (max_len + 1)
 
         stats.nodes += 1
         if max_len == 0:
@@ -187,8 +202,13 @@ class PalWalk:
             i = tried[depth]
             if depth == max_len or i == limit[depth]:
                 if not depth:
+                    tree._suffix = 1
                     return
-                pop()
+                ch = s.pop()
+                v = parent[depth]
+                if v >= 0:
+                    to[ch][v] = 0
+                    del lens[-1], links[-1], first_end[-1]
                 depth -= 1
                 continue
             tried[depth] = i + 1
@@ -202,23 +222,46 @@ class PalWalk:
             if hit:
                 stats.pruned_forbidden += 1
                 continue
+            # ch would be letter depth, s[depth + 1]. It extends the
+            # palindromic suffix v when the letter before v's occurrence,
+            # s[depth - len(v)], is ch; node 0, of length -1, takes any
+            # letter, so the climbs stop there without reading s.
+            v = suffix[depth]
+            while v and s[depth - lens[v]] != ch:
+                v = links[v]
+            edges = to[ch]
+            nxt = edges[v]
             cost = charged[depth]
-            grown = push(ch)
-            if grown:
-                if cap is not None and grown > cap:
-                    pop()
+            if nxt:
+                v = -1
+            else:
+                n = lens[v] + 2
+                if cap is not None and n > cap:
                     stats.pruned_cap += 1
                     continue
-                if word[-grown:] not in assumed:
+                if word[-n:] not in assumed:
                     cost += 1
                 if budget is not None and cost > budget:
-                    pop()
                     stats.pruned_budget += 1
                     continue
+                if n == 1:
+                    link = 1
+                else:
+                    w = links[v]
+                    while w and s[depth - lens[w]] != ch:
+                        w = links[w]
+                    link = edges[w]
+                nxt = edges[v] = len(lens)
+                lens.append(n)
+                links.append(link)
+                first_end.append(depth + 1)
+            s.append(ch)
             depth += 1
             words[depth] = word
             charged[depth] = cost
             tried[depth] = 0
+            tree._suffix = suffix[depth] = nxt
+            parent[depth] = v
             if canonical:
                 limit[depth] = min(k, max(limit[depth - 1], i + 2))
             stats.nodes += 1

@@ -1,6 +1,7 @@
 """Reports, richness, first returns, stabilization and closure checks."""
 
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -12,6 +13,7 @@ from palindromics import (
     resolve_generator,
     stabilized_pal_set,
 )
+from palindromics.generators import PRESETS
 
 from conftest import (
     all_words,
@@ -58,10 +60,16 @@ class TestPalSet:
                 pals = sorted(naive_pal_set(s), key=lambda p: (len(p), p))
                 assert report.palindromes == tuple(pals), s
                 assert list(report.to_record()["palindromes"]) == pals, s
-                per_length: dict[int, int] = {}
-                for p in pals:
-                    per_length[len(p)] = per_length.get(len(p), 0) + 1
-                assert report.per_length == per_length, s
+                assert report.per_length == Counter(map(len, pals)), s
+
+    @pytest.mark.parametrize("spec", sorted(PRESETS) + ["pow:ab", "pow:a"])
+    def test_preset_prefixes_match_oracle(self, spec):
+        s = resolve_generator(spec).prefix_text(200)
+        pals = naive_pal_set(s)
+        report = pal_set(s)
+        assert report.per_length == Counter(map(len, pals))
+        assert report.count == len(pals)
+        assert report.longest == naive_earliest_longest(s)
 
     def test_floor_and_ceiling(self):
         for n in range(9):
@@ -188,6 +196,15 @@ class TestStabilizedPalSet:
     def test_preconditions(self):
         with pytest.raises(ValueError):
             stabilized_pal_set(PeriodicStream("ab"), cap=31)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_longest_on_every_preset(self, name):
+        # The lexicographically greatest of maximal length, checked against
+        # the palindromes the tree lists, sorted here.
+        stab = stabilized_pal_set(resolve_generator(name), cap=16384)
+        pals = sorted(stab.pal_set, key=lambda p: (len(p), p))
+        assert stab.longest == pals[-1]
+        assert stab.count == len(pals)
 
     @pytest.mark.parametrize(
         "name, longest", [("quadfold", "d"), ("paperfolding", "baaabbabbaaab")]

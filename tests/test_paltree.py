@@ -4,11 +4,16 @@ import random
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from palindromics import PalTree, pal_set, paltree, resolve_generator
+from palindromics import (
+    ConstraintSet,
+    PalTree,
+    pal_set,
+    paltree,
+    resolve_generator,
+)
 from palindromics.generators import PRESETS
+from palindromics.search import PalWalk
 
 from conftest import (
     all_words,
@@ -28,11 +33,12 @@ def test_empty_tree():
 
 def test_incremental_growth_flags():
     tree = PalTree()
-    assert tree.push("a") == 1       # a
-    assert tree.push("b") == 1       # b
-    assert tree.push("c") == 1       # c
-    assert tree.push("a") == 0       # longest suffix palindrome is just a
-    assert tree.push("b") == 0
+    grown = []
+    for ch in "abcab":
+        before = tree.node_count
+        tree.extend(ch)
+        grown.append(tree.node_count - before)
+    assert grown == [1, 1, 1, 0, 0]  # a, b, c; then a and b come again
     assert tree.distinct_palindromes == 3
     assert tree.last_growth == 3
 
@@ -48,12 +54,21 @@ def test_at_most_one_node_per_letter():
 
 
 def _state(tree):
+    """Everything a tree holds: its text, nodes, suffix links, first ends,
+    suffix node, and the child list, up to the node count, of each letter
+    with a child. A letter of the text has one: its own palindrome is the
+    child of the length -1 root."""
+    n = tree.node_count
     return (
         tree.text,
         list(tree.ends_by_length()),
-        tree.node_count,
+        n,
+        tree._len,
+        tree._link,
+        list(tree._first_end),
         tree.suffix_node,
         tree.last_growth,
+        {ch: edges[:n] for ch, edges in tree._to.items() if any(edges[:n])},
     )
 
 
@@ -63,14 +78,14 @@ def test_extend_chunks_and_pushes_agree(alphabet, max_n):
         for s in all_words(alphabet, n):
             built = _state(PalTree(s))
             assert built[1] == naive_ends_by_length(s), s
-            assert built[4] == naive_last_growth(s), s
+            assert built[7] == naive_last_growth(s), s
             for k in range(n + 1):
                 tree = PalTree(s[:k])
                 tree.extend(s[k:])
                 assert _state(tree) == built, (s, k)
             pushed = PalTree()
             for ch in s:
-                pushed.push(ch)
+                pushed.extend(ch)
             assert _state(pushed) == built, s
 
 
@@ -96,18 +111,15 @@ def test_extend_and_push_agree_on_eight_letters():
     for s in EIGHT_LETTER_WORDS:
         built = _state(PalTree(s))
         assert built[1] == naive_ends_by_length(s), s
-        assert built[4] == naive_last_growth(s), s
+        assert built[7] == naive_last_growth(s), s
         for k in range(0, len(s) + 1, 7):
             tree = PalTree(s[:k])
             tree.extend(s[k:])
             assert _state(tree) == built, (s, k)
         pushed = PalTree()
         for ch in s:
-            pushed.push(ch)
+            pushed.extend(ch)
         assert _state(pushed) == built, s
-        for k in range(len(s) - 1, -1, -1):
-            pushed.pop()
-            assert _state(pushed) == _state(PalTree(s[:k])), (s, k)
 
 
 def _long_texts():
@@ -142,7 +154,8 @@ def _first_ends(tree):
 @pytest.mark.parametrize("name", LONG_TEXTS)
 def test_long_texts_agree_built_split_and_pushed(name):
     # One extend() takes the window table and mirror runs where they apply;
-    # split extends restart both at each cut, and push() takes neither.
+    # split extends restart both at each cut, and one-letter extends take
+    # neither.
     text = LONG_TEXTS[name]
     rng = random.Random(name)
     whole = PalTree(text)
@@ -152,7 +165,7 @@ def test_long_texts_agree_built_split_and_pushed(name):
         split.extend(text[a:b])
     pushed = PalTree()
     for ch in text:
-        pushed.push(ch)
+        pushed.extend(ch)
     assert _state(split) == _state(whole)
     assert _state(pushed) == _state(whole)
     if name in ("fibonacci", "fix(a->ab,b->ba,a)"):
@@ -160,11 +173,12 @@ def test_long_texts_agree_built_split_and_pushed(name):
         # make palindromes of lengths n and n + 2.
         made = _first_ends(whole)
         assert any(made.get(c, -9) + 2 == made.get(c + 1) for c in cuts)
-    # push() reads the suffix links and edges that extend() wrote.
+    # Later letters read the suffix links and edges the three builds wrote.
     tail = "".join(rng.choice(sorted(set(text))) for _ in range(300))
     for ch in tail:
-        grown = {whole.push(ch), split.push(ch), pushed.push(ch)}
-        assert len(grown) == 1, (name, ch)
+        for tree in (whole, split, pushed):
+            tree.extend(ch)
+        assert whole.node_count == split.node_count == pushed.node_count, name
     assert _state(split) == _state(whole) == _state(pushed)
 
 
@@ -240,83 +254,50 @@ def test_extract_after_long_run():
     assert set(tree.palindromes()) == {"", "a", "b", "c"}
 
 
-def _assert_same_as_fresh(tree, text):
-    assert tree.text == text
-    assert _state(tree) == _state(PalTree(text))
-    assert set(tree.palindromes()) == naive_pal_set(text)
-    assert tree.last_growth == naive_last_growth(text)
+WALKS = {
+    # name -> (constraints, max_len, canonical)
+    "binary": (ConstraintSet("ab"), 12, False),
+    "ternary": (ConstraintSet("abc"), 7, False),
+    "forbidden": (
+        ConstraintSet("ab", forbidden_factors=frozenset({"aaa", "bab"})),
+        14, False),
+    "cap": (ConstraintSet("abc", pal_length_cap=3), 9, False),
+    "budget": (ConstraintSet("ab", pal_budget=9), 14, False),
+    "budget-with-assumed": (
+        ConstraintSet("ab", pal_budget=9, assumed_palindromes=frozenset(
+            {"a", "b", "aa", "aba", "bab"})),
+        14, False),
+    "canonical": (ConstraintSet("abcd", pal_budget=6), 10, True),
+    "eight-letters": (ConstraintSet("abcdefgh", pal_budget=9), 9, True),
+}
 
 
-@st.composite
-def undo_scripts(draw):
-    """A base text built by extend, then rounds of (pop back to a depth no
-    shallower than the base, push a word)."""
-    words = st.text(alphabet=draw(st.sampled_from(["ab", "abc"])), max_size=16)
-    base = draw(words)
-    rounds = draw(
-        st.lists(st.tuples(st.integers(0, 32), words), min_size=1, max_size=6)
-    )
-    return base, rounds
-
-
-@settings(max_examples=200, deadline=None)
-@given(undo_scripts())
-def test_pop_restores_the_tree_of_the_prefix(script):
-    base, rounds = script
-    tree = PalTree(base)
-    text = base
-    for depth, word in rounds:
-        while len(text) > max(depth, len(base)):
-            tree.pop()
-            text = text[:-1]
-            _assert_same_as_fresh(tree, text)
-        for ch in word:
-            before = naive_pal_set(text)
-            text += ch
-            new = naive_pal_set(text) - before
-            # At most one new palindrome per letter, and push reports its length.
-            assert tree.push(ch) == max(map(len, new), default=0)
-            _assert_same_as_fresh(tree, text)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_push_pop_on_a_base_grown_by_extend(data):
-    """Rounds of: extend the base by a chunk, push a word, pop back to the
-    base. Each push and pop is checked against a fresh tree."""
-    words = st.text(alphabet=data.draw(st.sampled_from(["ab", "abc"])), max_size=12)
-    tree, base = PalTree(), ""
-    for _ in range(data.draw(st.integers(1, 4))):
-        chunk = data.draw(words)
-        tree.extend(chunk)
-        base += chunk
-        _assert_same_as_fresh(tree, base)
-        text = base
-        for ch in data.draw(words):
-            new = naive_pal_set(text + ch) - naive_pal_set(text)
-            text += ch
-            assert tree.push(ch) == max(map(len, new), default=0)
-            _assert_same_as_fresh(tree, text)
-        while len(text) > len(base):
-            tree.pop()
-            text = text[:-1]
-            _assert_same_as_fresh(tree, text)
-
-
-def test_push_of_a_letter_the_base_never_saw():
-    # The base has child lists for a and b only; push makes the list for c,
-    # and pop must leave a tree that grows on like a fresh one.
-    base = "abaab"
-    tree = PalTree(base)
-    text = base
-    for ch in "cacbc":
-        text += ch
-        new = naive_pal_set(text) - naive_pal_set(text[:-1])
-        assert tree.push(ch) == max(map(len, new), default=0)
-        _assert_same_as_fresh(tree, text)
-    while text != base:
-        tree.pop()
-        text = text[:-1]
-        _assert_same_as_fresh(tree, text)
-    tree.extend("cbcabc")
-    _assert_same_as_fresh(tree, base + "cbcabc")
+@pytest.mark.parametrize("name", WALKS)
+def test_walk_tree_is_the_tree_of_each_word(name):
+    """The walk writes the tree's lists itself. At every word it yields,
+    its tree is PalTree(word) in every list, and keeps the rules extend()
+    keeps: each list longer than the node count and 0 past it."""
+    constraints, max_len, canonical = WALKS[name]
+    walk = PalWalk(constraints, max_len, canonical=canonical)
+    tree = walk.tree
+    assert sorted(tree._to) == sorted(constraints.alphabet)
+    words = 0
+    for _, w in walk:
+        assert _state(tree) == _state(PalTree(w)), w
+        n = tree.node_count
+        for edges in tree._to.values():
+            assert len(edges) > n and not any(edges[n:]), w
+        words += 1
+    assert _state(tree) == _state(PalTree())  # back to the empty word
+    st = walk.stats
+    if name == "binary":
+        assert words == 2**13 - 1  # every binary word up to length 12
+    elif name == "ternary":
+        assert words == (3**8 - 1) // 2  # every ternary word up to length 7
+    else:
+        # Each constraint rejects letters, so rejected letters are covered.
+        assert st.pruned_forbidden + st.pruned_cap + st.pruned_budget, name
+        if "budget" in name:
+            assert st.pruned_budget
+        if name == "cap":
+            assert st.pruned_cap

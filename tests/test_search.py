@@ -16,6 +16,7 @@ from palindromics import (
 from palindromics.claims import RETURN_CLAIMS
 from palindromics.search import (
     PalWalk,
+    SearchStats,
     low_palindrome_words,
     palindromes_of_length,
 )
@@ -344,6 +345,29 @@ def test_walk_counters_account_for_every_extension(case):
         assert st.pruned_cap == 0
     if "pal_budget" not in kwargs:
         assert st.pruned_budget == 0
+
+
+RETURN_WALK_STATS = {
+    # claim -> (nodes, leaves, pruned_forbidden, pruned_budget) at max_len 48
+    "returns-abaaab": (50_824, 6_014, 4_679, 34_118),
+    "returns-ababa": (32_277, 3_126, 0, 26_026),
+    "returns-baaab": (54_305, 6_256, 28_123, 13_671),
+    "returns-baabaab": (11_251, 934, 0, 9_384),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(RETURN_WALK_STATS))
+def test_return_claim_walks_at_depth_48(cid):
+    # The walks of the deep-returns benchmark, pinned: the counters count
+    # the words visited and the letters rejected, so a walk that visits or
+    # rejects differently shows here.
+    claim = RETURN_CLAIMS[cid]
+    scan = scan_complete_returns(claim.constraints, claim.anchor, 48)
+    nodes, leaves, forbidden, budget = RETURN_WALK_STATS[cid]
+    assert scan.stats == SearchStats(
+        nodes=nodes, max_depth=48, leaves=leaves,
+        pruned_forbidden=forbidden, pruned_cap=0, pruned_budget=budget,
+    )
 
 
 def test_walk_yields_the_tree_of_each_word():
