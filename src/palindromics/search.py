@@ -9,8 +9,9 @@ does not extend, with the same complete_first_returns that replays a
 witness.
 
 Every scan here is a PalWalk, whose own loop runs the undoable eertree step
-and its undo on a PalTree's lists. A letter the constraints reject costs its
-forbidden-factor lookups or one suffix-link climb, and writes nothing.
+and its undo on a PalTree's lists, and steps a forbidden-factor automaton.
+A letter the constraints reject costs one table lookup or one suffix-link
+climb, and writes nothing.
 """
 
 from __future__ import annotations
@@ -67,6 +68,8 @@ class ConstraintSet:
     assumed_palindromes set models palindromes known to occur elsewhere in
     the (infinite) word under study: the budget is charged for the union of
     the assumed set and the palindromes actually present in the search word.
+    An empty forbidden factor would forbid every word, the empty one too, so
+    it is refused.
     """
 
     alphabet: str
@@ -75,6 +78,10 @@ class ConstraintSet:
     pal_budget: int | None = None
     pal_length_cap: int | None = None
     assumed_palindromes: frozenset[str] = frozenset()
+
+    def __post_init__(self):
+        if "" in self.forbidden_factors:
+            raise ValueError("forbidden factors must be non-empty")
 
     def satisfies(self, s: str) -> bool:
         """Full non-incremental check of every constraint, required factors
@@ -133,10 +140,44 @@ class SearchStats:
     pruned_budget: int = 0
 
 
+def _factor_automaton(
+    alphabet: str, forbidden: frozenset[str]
+) -> list[list[int]]:
+    """Transition table of a matching automaton for the forbidden factors
+    (Aho & Corasick, CACM 1975), built naively: the sets are tiny.
+
+    A state is the longest suffix of the word that is a proper prefix of
+    some forbidden factor; state 0 is the empty word. table[q][i] is the
+    state after letter alphabet[i], or -1 when the word then ends in a
+    forbidden factor. Any factor ending at the new letter is a suffix of
+    q + letter, because q is the longest suffix that can still grow into
+    one; so is the next state.
+    """
+    prefixes = sorted(
+        {""} | {f[:n] for f in forbidden for n in range(len(f))},
+        key=lambda p: (len(p), p),
+    )
+    index = {p: q for q, p in enumerate(prefixes)}
+    table = []
+    for p in prefixes:
+        row = []
+        for ch in alphabet:
+            t = p + ch
+            if any(t.endswith(f) for f in forbidden):
+                row.append(-1)
+            else:
+                row.append(next(index[t[n:]] for n in range(len(t) + 1)
+                                if t[n:] in index))
+        table.append(row)
+    return table
+
+
 class PalWalk:
     """Lexicographic depth-first walk over the words of length <= max_len
     whose prefixes all pass the prefix-closed constraints; required factors
-    are left to the consumer.
+    are left to the consumer. The walk is empty when the empty word itself
+    breaks the budget, that is when the assumed palindromes and ε alone
+    exceed it.
 
     Iterating yields (depth, word) for each visited word in preorder, the
     empty root first. While the consumer holds a word, ``tree`` is the
@@ -148,15 +189,18 @@ class PalWalk:
     one past the largest letter used so far, which visits one member of
     each renaming class.
 
-    A palindrome is new exactly when the letter would create a node, and
-    only then are the cap and budget charged, after the suffix-link climb
-    and before anything is written: a rejected letter costs that climb and
-    leaves the tree as it was. Backtracking voids the eertree's amortized
-    bound on the climb, so one letter may climb the whole chain of
-    palindromic suffixes of the word: at most depth + 2 nodes, which the
-    budget or cap keeps to a dozen or so in the constrained scans. The tree
-    holds at most max_len + 2 nodes, so each letter's child list is made
-    once, here, longer than that.
+    Forbidden factors are decided first, by one lookup in the table of
+    _factor_automaton from the automaton state kept per depth. A palindrome
+    is new exactly when the letter would create a node, and only then are
+    the cap and budget charged, after the suffix-link climb and before
+    anything is written: a rejected letter costs that lookup or climb and
+    leaves the tree as it was. The word is built only for a letter that the
+    walk accepts, or that makes a palindrome to look up in the assumed set.
+    Backtracking voids the eertree's amortized bound on the climb, so one
+    letter may climb the whole chain of palindromic suffixes of the word:
+    at most depth + 2 nodes, which the budget or cap keeps to a dozen or so
+    in the constrained scans. The tree holds at most max_len + 2 nodes, so
+    each letter's child list is made once, here, longer than that.
     """
 
     def __init__(
@@ -173,9 +217,9 @@ class PalWalk:
 
     def __iter__(self):
         c = self.constraints
-        symbols, forbidden = c.alphabet, c.forbidden_factors
+        symbols = c.alphabet
         k = len(symbols)
-        forbidden_sizes = sorted({len(f) for f in forbidden})
+        automaton = _factor_automaton(symbols, c.forbidden_factors)
         cap, budget = c.pal_length_cap, c.pal_budget
         assumed = c.assumed_palindromes
         max_len, canonical, stats = self.max_len, self.canonical, self.stats
@@ -183,16 +227,19 @@ class PalWalk:
         s, lens, links, first_end, to = (
             tree._s, tree._len, tree._link, tree._first_end, tree._to
         )
-        # Per depth: the word, its budget charge, letters tried, letters
-        # allowed, its longest palindromic suffix, and the node its last
-        # letter gave a child (-1 for none).
+        # Per depth: the word, its budget charge, its automaton state,
+        # letters tried, letters allowed, its longest palindromic suffix,
+        # and the node its last letter gave a child (-1 for none).
         words = [""] * (max_len + 1)
         charged = [len(assumed | {""})] * (max_len + 1)
+        state = [0] * (max_len + 1)
         tried = [0] * (max_len + 1)
         limit = [1 if canonical else k] * (max_len + 1)
         suffix = [1] * (max_len + 1)
         parent = [-1] * (max_len + 1)
 
+        if budget is not None and charged[0] > budget:
+            return
         stats.nodes += 1
         if max_len == 0:
             stats.leaves += 1
@@ -212,16 +259,11 @@ class PalWalk:
                 depth -= 1
                 continue
             tried[depth] = i + 1
-            ch = symbols[i]
-            word = words[depth] + ch
-            hit = False
-            for n in forbidden_sizes:
-                if word[-n:] in forbidden:
-                    hit = True
-                    break
-            if hit:
+            q = automaton[state[depth]][i]
+            if q < 0:
                 stats.pruned_forbidden += 1
                 continue
+            ch = symbols[i]
             # ch would be letter depth, s[depth + 1]. It extends the
             # palindromic suffix v when the letter before v's occurrence,
             # s[depth - len(v)], is ch; node 0, of length -1, takes any
@@ -234,11 +276,13 @@ class PalWalk:
             cost = charged[depth]
             if nxt:
                 v = -1
+                word = words[depth] + ch
             else:
                 n = lens[v] + 2
                 if cap is not None and n > cap:
                     stats.pruned_cap += 1
                     continue
+                word = words[depth] + ch
                 if word[-n:] not in assumed:
                     cost += 1
                 if budget is not None and cost > budget:
@@ -259,6 +303,7 @@ class PalWalk:
             depth += 1
             words[depth] = word
             charged[depth] = cost
+            state[depth] = q
             tried[depth] = 0
             tree._suffix = suffix[depth] = nxt
             parent[depth] = v
@@ -304,15 +349,30 @@ def scan_complete_returns(
     the last, so a word's returns are also those of its extensions. A host
     is therefore the first maximal word that holds the return and every
     required factor.
+
+    Most hosts add nothing, and are skipped unread. Let low be the least
+    depth yielded since the last host. Every word since then, the next host
+    too, shares its first low - 1 letters with that host. A host whose
+    anchor occurrences all lie inside those letters has only returns that
+    lie there too, between the same two consecutive occurrences as in the
+    last host. The last host gave each of them, or, when it was skipped in
+    turn, an earlier host did, and with an earlier host word. So a host
+    is read with complete_first_returns only when some anchor occurrence
+    ends past its first low - 1 letters.
     """
     walk = PalWalk(constraints, max_len)
     required = constraints.required_factors
     found: dict[str, str] = {}
     prev_depth, prev = -1, ""
+    low = 0
     for depth, word in chain(walk, [(-1, "")]):
         if depth <= prev_depth and all(r in prev for r in required):
-            for ret in complete_first_returns(prev, anchor).returns:
-                found.setdefault(ret, prev)
+            if prev.find(anchor, max(0, low - len(anchor))) >= 0:
+                for ret in complete_first_returns(prev, anchor).returns:
+                    found.setdefault(ret, prev)
+            low = depth
+        elif depth < low:
+            low = depth
         prev_depth, prev = depth, word
     return ReturnScan(returns=found, stats=walk.stats)
 

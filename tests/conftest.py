@@ -1,7 +1,16 @@
 """Shared independent oracles: deliberately naive, kept separate from the
 library's own algorithms so the two routes never collapse into one."""
 
+import os
 from itertools import product
+
+from hypothesis import settings
+
+# CI runs with HYPOTHESIS_PROFILE=ci: more examples than the default 100,
+# and a failure prints a blob that @reproduce_failure replays locally.
+# Tests that set their own max_examples keep it.
+settings.register_profile("ci", print_blob=True, max_examples=500)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def naive_pal_set(s: str) -> set[str]:
@@ -13,6 +22,20 @@ def naive_pal_set(s: str) -> set[str]:
             if f == f[::-1]:
                 out.add(f)
     return out
+
+
+def naive_broken(w, forbidden=(), cap=None, budget=None, assumed=()):
+    """The first constraint w breaks, in the order forbidden factor,
+    palindrome length cap, palindrome budget (charged for the assumed
+    palindromes, epsilon and those of w), or None; checked whole-word."""
+    if any(f in w for f in forbidden):
+        return "forbidden"
+    pals = naive_pal_set(w)
+    if cap is not None and max(map(len, pals)) > cap:
+        return "cap"
+    if budget is not None and len(set(assumed) | pals) > budget:
+        return "budget"
+    return None
 
 
 def naive_earliest_longest(s: str) -> str:

@@ -1,8 +1,11 @@
 """Constraint search engines: pruning soundness, families, enumeration."""
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from palindromics import (
     ConstraintSet,
@@ -23,6 +26,7 @@ from palindromics.search import (
 
 from conftest import (
     all_words,
+    naive_broken,
     naive_complete_first_returns,
     naive_pal_set,
     naive_renaming,
@@ -110,6 +114,10 @@ class TestConstraintSet:
         # Required factors are checked with the others, not instead of them.
         both = ConstraintSet(AB, required_factors=frozenset({"aab"}), pal_budget=4)
         assert not both.satisfies("aabaa")
+
+    def test_empty_forbidden_factor_rejected(self):
+        with pytest.raises(ValueError, match="forbidden factors must be non-empty"):
+            ConstraintSet(AB, forbidden_factors=frozenset({"", "bb"}))
 
 
 class TestPalindromesOfLength:
@@ -232,23 +240,12 @@ class TestReturnScan:
         assert "ababa" in scan.returns  # overlapping pair of aba occurrences
 
 
-def _naive_passes(w, forbidden=(), budget=None, cap=None, assumed=()):
-    """Whether w meets the prefix-closed constraints, checked whole-word
-    with the naive oracles only."""
-    if any(f in w for f in forbidden):
-        return False
-    pals = naive_pal_set(w)
-    if cap is not None and max(map(len, pals)) > cap:
-        return False
-    return budget is None or len(set(assumed) | {""} | pals) <= budget
-
-
 def _oracle_hosts(alphabet, max_len, forbidden=(), required=(), budget=None,
                   cap=None, assumed=()):
     """Every word of length <= max_len meeting the constraints."""
     for n in range(max_len + 1):
         for w in all_words(alphabet, n):
-            if _naive_passes(w, forbidden, budget, cap, assumed) and all(
+            if naive_broken(w, forbidden, cap, budget, assumed) is None and all(
                 r in w for r in required
             ):
                 yield w
@@ -319,8 +316,8 @@ def test_every_host_is_maximal(case):
     assert scan.returns, case
     for ret, host in scan.returns.items():
         assert all(r in host for r in kwargs.get("required_factors", ())), ret
-        assert len(host) == max_len or not any(
-            _naive_passes(host + ch, **prefix_closed) for ch in alphabet
+        assert len(host) == max_len or all(
+            naive_broken(host + ch, **prefix_closed) for ch in alphabet
         ), (ret, host)
 
 
@@ -368,6 +365,122 @@ def test_return_claim_walks_at_depth_48(cid):
         nodes=nodes, max_depth=48, leaves=leaves,
         pruned_forbidden=forbidden, pruned_cap=0, pruned_budget=budget,
     )
+
+
+def _hosts_of_maximal_words(constraints, anchor, max_len):
+    """return -> host from every maximal word of the walk that holds every
+    required factor, each read in full, in preorder, the first host kept."""
+    visited = list(PalWalk(constraints, max_len))
+    hosts = {}
+    for (depth, w), (after, _) in zip(visited, visited[1:] + [(-1, "")]):
+        if after <= depth and all(r in w for r in constraints.required_factors):
+            for ret in naive_complete_first_returns(w, anchor):
+                hosts.setdefault(ret, w)
+    return hosts
+
+
+HOST_RULE_CASES = [
+    pytest.param(ConstraintSet("abc" if name == "ternary" else "ab", **kwargs),
+                 anchor, max_len, id=f"case-{name}")
+    for name, (kwargs, anchor, max_len) in sorted(RETURN_CASES.items())
+] + [
+    pytest.param(RETURN_CLAIMS[cid].constraints, RETURN_CLAIMS[cid].anchor, 24,
+                 id=cid)
+    for cid in sorted(RETURN_WALK_STATS)
+]
+
+
+@pytest.mark.parametrize("constraints, anchor, max_len", HOST_RULE_CASES)
+def test_skipped_hosts_change_no_host(constraints, anchor, max_len):
+    # The scan reads a host only past the letters it shares with the last
+    # host; reading every maximal word in full must give the same hosts.
+    expected = _hosts_of_maximal_words(constraints, anchor, max_len)
+    assert expected
+    assert scan_complete_returns(constraints, anchor, max_len).returns == expected
+
+
+def _oracle_walk(alphabet, max_len, canonical, **constraints):
+    """The words a walk must yield, in lexicographic preorder, and its
+    counters: a depth-first search that checks each word in full with
+    naive_broken and charges each rejected letter to the first constraint
+    it breaks. A canonical walk tries one letter past those used so far."""
+    words, counts = [], Counter()
+
+    def visit(w):
+        words.append(w)
+        if len(w) == max_len:
+            counts["leaves"] += 1
+            return
+        for ch in alphabet[: len(set(w)) + 1] if canonical else alphabet:
+            broken = naive_broken(w + ch, **constraints)
+            if broken:
+                counts["pruned_" + broken] += 1
+            else:
+                visit(w + ch)
+
+    if naive_broken("", **constraints) is None:
+        visit("")
+    stats = SearchStats(
+        nodes=len(words), max_depth=max(map(len, words), default=0), **counts
+    )
+    return words, stats
+
+
+@st.composite
+def _walk_cases(draw):
+    # The sizes are drawn first: Hypothesis tends to give the draws after
+    # the sets their simplest value, which would leave max_len at 0.
+    letters = "".join(draw(st.permutations("abc")))[: draw(st.integers(1, 3))]
+    max_len, canonical = draw(st.integers(0, 8)), draw(st.booleans())
+    cap = draw(st.none() | st.integers(0, 4))
+    budget = draw(st.none() | st.integers(0, 9))
+    text = st.text(alphabet=letters, min_size=1, max_size=3)
+    half = st.text(alphabet=letters, max_size=2)
+    palindromes = st.builds(lambda h, odd: h + h[::-1][odd:], half, st.booleans())
+    constraints = dict(
+        forbidden=draw(st.frozensets(text, max_size=3)),
+        cap=cap,
+        budget=budget,
+        assumed=draw(st.frozensets(palindromes, max_size=4)),
+    )
+    return letters, constraints, max_len, canonical
+
+
+@settings(deadline=None)
+@given(_walk_cases())
+# In aab, ab ends where the automaton is at aa, a prefix of the longer aaa.
+@example(("ab", dict(forbidden=frozenset({"ab", "aaa"}), cap=None, budget=None,
+                     assumed=frozenset()), 4, False))
+def test_walk_matches_naive_oracle(case):
+    letters, kw, max_len, canonical = case
+    walk = PalWalk(
+        ConstraintSet(
+            letters,
+            forbidden_factors=kw["forbidden"],
+            pal_length_cap=kw["cap"],
+            pal_budget=kw["budget"],
+            assumed_palindromes=kw["assumed"],
+        ),
+        max_len,
+        canonical=canonical,
+    )
+    words, stats = _oracle_walk(letters, max_len, canonical, **kw)
+    assert list(walk) == [(len(w), w) for w in words]
+    assert walk.stats == stats
+
+
+@pytest.mark.parametrize(
+    "constraints",
+    [
+        ConstraintSet(AB, pal_budget=0),
+        ConstraintSet(AB, pal_budget=1, assumed_palindromes=frozenset({"a", "b"})),
+    ],
+)
+def test_walk_over_budget_at_the_root_is_empty(constraints):
+    assert not constraints.satisfies("")
+    walk = PalWalk(constraints, 4)
+    assert list(walk) == []
+    assert walk.stats == SearchStats()
 
 
 def test_walk_yields_the_tree_of_each_word():
