@@ -34,6 +34,7 @@ from .analysis import (
 from .generators import resolve_generator
 from .paltree import PalTree  # unused here; perfbench/tracing.py wraps claims.PalTree
 from .search import (
+    DEPTH_CAP,
     ConstraintSet,
     FamilyTemplate,
     PalWalk,
@@ -370,7 +371,7 @@ def verify_exact10(claim_id: str) -> ClaimVerdict:
     """
     classes = ten_palindrome_classes()
     walk = PalWalk(ConstraintSet(AB), 14)
-    exact10 = {w: max(map(len, walk.tree.palindromes()))
+    exact10 = {w: walk.tree.longest_ends()[0]
                for w, c in walk.leaves() if c == 10}
     sq, flanked, tailed = (
         set(classes[f]) for f in ("square", "flanked", "tailed")
@@ -493,7 +494,7 @@ def verify_maxpal_bounds(claim_id: str) -> ClaimVerdict:
     complete first returns to aab are aababbaab and aabbabaab.
     """
     cap3 = ConstraintSet(AB, pal_length_cap=3)
-    depth = deepest_word(cap3, hard_cap=64)
+    depth = deepest_word(cap3)
     power = pal_set(resolve_generator("pow:aabbab").prefix_text(600))
     stab = stabilized_pal_set(resolve_generator("maxpal5"), cap=16384)
     returns_scan = scan_complete_returns(
@@ -514,7 +515,7 @@ def verify_maxpal_bounds(claim_id: str) -> ClaimVerdict:
             "maxpal5_longest": (len(stab.longest), 5),
             "aab_returns": (aab_returns, ["aababbaab", "aabbabaab"]),
         },
-        bound={"extension_hard_cap": 64, "power_prefix": 600,
+        bound={"extension_hard_cap": DEPTH_CAP, "power_prefix": 600,
                "stabilizer_cap": 16384, "returns_window": 20},
         witness={
             "longest_word_with_palindromes_le_3": depth.witness,

@@ -34,12 +34,15 @@ extend() takes each letter by one of three paths:
   the one before the new palindrome's occurrence, it mirrors that letter
   across the palindrome's centre, so each letter makes the child of the
   node before, two letters longer and ending one letter later, with no
-  climb to find it. Slice comparisons of at most _PIECE letters find the
-  run's length; the lengths and first ends go in with one extend() each,
-  and each node's suffix link is climbed as in the letter loop. A run
-  starts only when two letters mirror, so one-letter runs, common in
-  random text, stay in the letter loop. A run whose mirror letters would
-  fall before this call's text stops there.
+  climb to find it. Slice comparisons find the run's length: each slice
+  is twice as long as the last after a match, up to _PIECE letters, and
+  half as long after a mismatch, so a run of r letters takes O(log r)
+  comparisons, plus one per _PIECE letters of a long run. The lengths
+  and first ends go in with one extend() each, and each node's suffix
+  link is climbed as in the letter loop. A run starts only when two
+  letters mirror, so one-letter runs, common in random text, stay in the
+  letter loop. A run whose mirror letters would fall before this call's
+  text stops there.
 On a 2^20-letter prefix, the paperfolding word, fib-abbab and closed13
 (12 to 30 nodes) are nearly all repeated windows, and the Fibonacci and
 Thue-Morse words, where almost every letter makes a node, nearly all mirror
@@ -87,31 +90,21 @@ _CHUNK = 64  # letters the letter loop takes at a time
 _BACK = 64  # letters before a chunk in its window
 _SEEN = 1024  # windows held before extend() stops looking them up
 _PIECE = 1024  # longest slice of the text that extend() makes
-_BY_LETTER = 16  # letters a mirror run compares one at a time
 
 
 def _mirror_run(text: str, a: int, b: int, limit: int) -> int:
-    """The greatest r <= limit with text[a:a + r] == text[b - r:b][::-1].
-
-    The first _BY_LETTER letters are compared one at a time, as most runs
-    end there. Past them, slices double in length up to _PIECE letters and
-    halve once one differs."""
-    r, by_letter = 0, min(limit, _BY_LETTER)
-    while r < by_letter and text[a + r] == text[b - 1 - r]:
-        r += 1
-    if r < _BY_LETTER:
-        return r
-    step, grow = r, True
+    """The greatest r <= limit with text[a:a + r] == text[b - r:b][::-1],
+    found by slice comparisons whose length doubles, up to _PIECE letters,
+    after a match and halves after a mismatch."""
+    r, step = 0, 1
     while r < limit:
         step = min(step, limit - r)
         if text[a + r : a + r + step] == text[b - r - step : b - r][::-1]:
             r += step
-            if grow and step < _PIECE:
-                step *= 2
+            step = min(2 * step, _PIECE)
         elif step == 1:
             break
         else:
-            grow = False
             step >>= 1
     return r
 
@@ -278,11 +271,6 @@ class PalTree:
     def distinct_palindromes(self) -> int:
         """Number of distinct non-empty palindromic factors processed."""
         return len(self._len) - 2
-
-    @property
-    def suffix_node(self) -> int:
-        """Node of the longest palindromic suffix (1, the empty root, at start)."""
-        return self._suffix
 
     @property
     def last_growth(self) -> int:

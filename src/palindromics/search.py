@@ -24,6 +24,7 @@ from .paltree import PalTree
 from .words import SYMBOLS, canonical_form
 
 ENUMERATION_GUARD = 10**8
+DEPTH_CAP = 64  # longest word deepest_word visits
 
 
 @dataclass(frozen=True)
@@ -69,7 +70,8 @@ class ConstraintSet:
     the (infinite) word under study: the budget is charged for the union of
     the assumed set and the palindromes actually present in the search word.
     An empty forbidden factor would forbid every word, the empty one too, so
-    it is refused.
+    it is refused; so is a negative length cap, which the empty word's
+    longest palindrome, of length 0, would already break.
     """
 
     alphabet: str
@@ -82,6 +84,8 @@ class ConstraintSet:
     def __post_init__(self):
         if "" in self.forbidden_factors:
             raise ValueError("forbidden factors must be non-empty")
+        if self.pal_length_cap is not None and self.pal_length_cap < 0:
+            raise ValueError("pal_length_cap must be non-negative")
 
     def satisfies(self, s: str) -> bool:
         """Full non-incremental check of every constraint, required factors
@@ -98,26 +102,14 @@ class ConstraintSet:
         return budget is None or len(charged) <= budget
 
 
-def palindromes_of_length(alphabet: str, length: int) -> set[str]:
-    """Every palindrome of the given length over the alphabet."""
-    if length < 0:
-        raise ValueError("length must be non-negative")
-    if length == 0:
-        return {""}
-    half = (length + 1) // 2
-    out = set()
-    for core in product(alphabet, repeat=half):
-        left = "".join(core)
-        mirror = left[::-1]
-        out.add(left + (mirror[1:] if length % 2 else mirror))
-    return out
-
-
 def forbid_other_palindromes(
     alphabet: str, length: int, allowed: set[str] | frozenset[str]
 ) -> frozenset[str]:
-    """Forbidden-factor encoding of 'the only length-L palindromes are these'."""
-    return frozenset(palindromes_of_length(alphabet, length) - set(allowed))
+    """Forbidden-factor encoding of 'the only length-L palindromes are these':
+    the words of length L over the alphabet that equal their reversal,
+    minus the allowed ones."""
+    words = enumerate_words(alphabet, length)
+    return frozenset(w for w in words if w == w[::-1]) - set(allowed)
 
 
 @dataclass
@@ -387,13 +379,13 @@ class DepthScan:
     stats: SearchStats = field(compare=False, default_factory=SearchStats)
 
 
-def deepest_word(constraints: ConstraintSet, hard_cap: int = 64) -> DepthScan:
+def deepest_word(constraints: ConstraintSet) -> DepthScan:
     """Exhaustive extension search for the longest word the constraints allow.
 
-    exhausted is False when some branch reached hard_cap, in which case the
-    reported maximum is only a lower bound.
+    exhausted is False when some branch reached DEPTH_CAP letters, in which
+    case the reported maximum is only a lower bound.
     """
-    walk = PalWalk(constraints, hard_cap)
+    walk = PalWalk(constraints, DEPTH_CAP)
     witness = ""
     for depth, w in walk:
         if depth > len(witness):

@@ -66,7 +66,7 @@ def _state(tree):
         tree._len,
         tree._link,
         list(tree._first_end),
-        tree.suffix_node,
+        tree._suffix,
         tree.last_growth,
         {ch: edges[:n] for ch, edges in tree._to.items() if any(edges[:n])},
     )
@@ -180,6 +180,48 @@ def test_long_texts_agree_built_split_and_pushed(name):
             tree.extend(ch)
         assert whole.node_count == split.node_count == pushed.node_count, name
     assert _state(split) == _state(whole) == _state(pushed)
+
+
+def _naive_mirror_run(text, a, b, limit):
+    """The greatest r <= limit with text[a + i] == text[b - 1 - i] for
+    every i < r, one letter at a time."""
+    r = 0
+    while r < limit and text[a + r] == text[b - 1 - r]:
+        r += 1
+    return r
+
+
+def test_mirror_run_matches_letter_by_letter():
+    # u reversed, then u: from the middle m, letter m + i mirrors letter
+    # m - 1 - i, so the run goes to its limit unless letter m + k is
+    # flipped, which ends it at k. Runs past 2 * _PIECE letters take the
+    # longest slice more than once.
+    piece = paltree._PIECE
+    rng = random.Random(27)
+    u = "".join(rng.choice("ab") for _ in range(2 * piece + 300))
+    m = len(u)
+    text = u[::-1] + u
+    for limit in (0, 1, 2, 3, 40, piece, 2 * piece + 1, m):
+        assert paltree._mirror_run(text, m, m, limit) == limit
+        assert _naive_mirror_run(text, m, m, limit) == limit
+    for k in [*range(41), *range(piece - 4, piece + 5),
+              *range(2 * piece - 4, 2 * piece + 5)]:
+        flip = "b" if text[m + k] == "a" else "a"
+        flipped = text[: m + k] + flip + text[m + k + 1 :]
+        for limit in (0, 1, 2, k, k + 1, m):
+            got = paltree._mirror_run(flipped, m, m, limit)
+            assert got == _naive_mirror_run(flipped, m, m, limit), (k, limit)
+            assert got == min(k, limit), (k, limit)
+    # Seeded texts at random places: binary, and mostly a, whose runs are
+    # long.
+    for letters in ("ab", "a" * 30 + "b"):
+        text = "".join(rng.choice(letters) for _ in range(5000))
+        for _ in range(300):
+            a = rng.randrange(len(text) + 1)
+            b = rng.randrange(a + 1)
+            limit = rng.randint(0, min(b, len(text) - a))
+            got = paltree._mirror_run(text, a, b, limit)
+            assert got == _naive_mirror_run(text, a, b, limit), (a, b, limit)
 
 
 def test_peak_memory_with_few_palindromes():

@@ -18,10 +18,10 @@ from palindromics import (
 )
 from palindromics.claims import RETURN_CLAIMS
 from palindromics.search import (
+    DEPTH_CAP,
     PalWalk,
     SearchStats,
     low_palindrome_words,
-    palindromes_of_length,
 )
 
 from conftest import (
@@ -119,22 +119,37 @@ class TestConstraintSet:
         with pytest.raises(ValueError, match="forbidden factors must be non-empty"):
             ConstraintSet(AB, forbidden_factors=frozenset({"", "bb"}))
 
+    def test_negative_length_cap_rejected(self):
+        # The empty word's longest palindrome, of length 0, would break a
+        # negative cap, so no word would satisfy the set. Cap 0 admits "".
+        with pytest.raises(ValueError, match="pal_length_cap must be non-negative"):
+            ConstraintSet(AB, pal_length_cap=-1)
+        c = ConstraintSet(AB, pal_length_cap=0)
+        assert c.satisfies("") and not c.satisfies("a")
+        scan = deepest_word(c)
+        assert scan.exhausted and scan.witness == ""
 
-class TestPalindromesOfLength:
-    def test_count(self):
-        assert len(palindromes_of_length(AB, 5)) == 8
-        assert len(palindromes_of_length(AB, 4)) == 4
 
-    def test_length_zero_and_negative(self):
-        assert palindromes_of_length(AB, 0) == {""}
+class TestForbidOtherPalindromes:
+    @pytest.mark.parametrize("alphabet", ["a", "ab", "abc"])
+    @pytest.mark.parametrize("length", range(7))
+    def test_matches_naive_filter(self, alphabet, length):
+        pals = {w for w in all_words(alphabet, length) if w == w[::-1]}
+        # None, one, all, and words of other lengths or none of the
+        # alphabet's palindromes, which change nothing.
+        for allowed in (set(), set(sorted(pals)[:1]), pals, {"baaab", "ab"}):
+            got = forbid_other_palindromes(alphabet, length, allowed)
+            assert isinstance(got, frozenset)
+            assert got == pals - allowed, (alphabet, length, allowed)
+
+    def test_returns_baaab_set(self):
+        forb = forbid_other_palindromes(AB, 5, frozenset({"baaab"}))
+        assert forb == {"aaaaa", "aabaa", "ababa", "abbba",
+                        "babab", "bbabb", "bbbbb"}
+
+    def test_negative_length_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            palindromes_of_length(AB, -1)
-
-    def test_forbid_other(self):
-        forb = forbid_other_palindromes(AB, 5, {"baaab"})
-        assert "baaab" not in forb
-        assert "aabaa" in forb and "ababa" in forb
-        assert len(forb) == 7
+            forbid_other_palindromes(AB, -1, set())
 
 
 class TestPruningSoundness:
@@ -173,7 +188,7 @@ class TestPruningSoundness:
 
 class TestDeepestWord:
     def test_palindrome_cap_3_bound(self):
-        scan = deepest_word(ConstraintSet(AB, pal_length_cap=3), hard_cap=64)
+        scan = deepest_word(ConstraintSet(AB, pal_length_cap=3))
         assert scan.exhausted
         assert scan.max_len == 8
         assert scan.witness == "aaababbb"
@@ -191,12 +206,17 @@ class TestDeepestWord:
             if not nxt:
                 break
             level, depth = nxt, depth + 1
-        assert deepest_word(c, hard_cap=64).max_len == depth
+        assert deepest_word(c).max_len == depth
 
     def test_capped_flag(self):
-        scan = deepest_word(ConstraintSet(AB, pal_length_cap=64), hard_cap=6)
+        # A budget of 9 palindromes admits infinite binary words, so some
+        # branch reaches the cap and the maximum is only a lower bound.
+        c = ConstraintSet(AB, pal_budget=9)
+        scan = deepest_word(c)
         assert not scan.exhausted
-        assert scan.max_len == 6
+        assert scan.max_len == len(scan.witness) == DEPTH_CAP
+        assert c.satisfies(scan.witness)
+        assert scan.stats.nodes == 1199
 
 
 class TestReturnScan:
