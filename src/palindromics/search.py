@@ -17,7 +17,7 @@ climb, and writes nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, product
+from itertools import product
 
 from .analysis import complete_first_returns, pal_set
 from .paltree import PalTree
@@ -119,9 +119,12 @@ class SearchStats:
     nodes counts every word visited, the empty root included, and max_depth
     the length of the longest. leaves counts the visited words of length
     max_len, whose branches the length bound cut rather than a constraint (a
-    walk with no leaves is exhaustive). Each pruned_* counts the rejected
-    one-letter extensions by the first constraint they broke: a forbidden
-    factor, the palindrome length cap, or the palindrome budget.
+    walk with no leaves is exhaustive). Each of the first three pruned_*
+    counts the rejected one-letter extensions by the first constraint they
+    broke: a forbidden factor, the palindrome length cap, or the palindrome
+    budget. pruned_seen counts the visited words whose consumer refused
+    their subtree (PalWalk's hook); their letters are not tried, so they
+    count in no other pruned_*. A walk whose consumer never refuses reads 0.
     """
 
     nodes: int = 0
@@ -130,6 +133,7 @@ class SearchStats:
     pruned_forbidden: int = 0
     pruned_cap: int = 0
     pruned_budget: int = 0
+    pruned_seen: int = 0
 
 
 def _factor_automaton(
@@ -180,6 +184,12 @@ class PalWalk:
     words that share it. With canonical=True a letter is tried only up to
     one past the largest letter used so far, which visits one member of
     each renaming class.
+
+    A consumer refuses the subtree of the word it holds by resuming the
+    iterator with ``send(True)`` in place of ``next``: the walk then tries
+    none of that word's letters and counts it in stats.pruned_seen. The
+    value is read by the walk's yield, so a consumer that only iterates
+    costs one test of None a word.
 
     Forbidden factors are decided first, by one lookup in the table of
     _factor_automaton from the automaton state kept per depth. A palindrome
@@ -235,8 +245,10 @@ class PalWalk:
         stats.nodes += 1
         if max_len == 0:
             stats.leaves += 1
-        yield 0, ""
         depth = 0
+        if (yield 0, ""):
+            stats.pruned_seen += 1
+            tried[0] = limit[0]
         while True:
             i = tried[depth]
             if depth == max_len or i == limit[depth]:
@@ -306,7 +318,9 @@ class PalWalk:
                 stats.max_depth = depth
             if depth == max_len:
                 stats.leaves += 1
-            yield depth, word
+            if (yield depth, word):
+                stats.pruned_seen += 1
+                tried[depth] = limit[depth]
 
     def leaves(self):
         """(word, palindrome count with epsilon) for each visited word of
@@ -342,29 +356,135 @@ def scan_complete_returns(
     is therefore the first maximal word that holds the return and every
     required factor.
 
-    Most hosts add nothing, and are skipped unread. Let low be the least
-    depth yielded since the last host. Every word since then, the next host
-    too, shares its first low - 1 letters with that host. A host whose
-    anchor occurrences all lie inside those letters has only returns that
-    lie there too, between the same two consecutive occurrences as in the
-    last host. The last host gave each of them, or, when it was skipped in
-    turn, an earlier host did, and with an earlier host word. So a host
-    is read with complete_first_returns only when some anchor occurrence
-    ends past its first low - 1 letters.
+    Most subtrees repeat one explored before, and are refused unwalked.
+    Under a budget or a cap, each visited word w shorter than max_len - 1,
+    so with more than leaves below it, whose last complete anchor
+    occurrence starts in its window, or that has none, gets a key: its
+    depth, the id of its charged set Q (its palindromes, the assumed ones
+    and ε), the bitmask of the required factors it holds, and its window,
+    its last L letters. L - 1 bounds the palindromic
+    suffixes of every word below w: M + 2r under a budget, where M is the
+    longest palindrome in Q and r the budget less w's charge |Q|; c under a
+    cap c; the smaller under both. L is also never less than the longest
+    forbidden factor, required factor or anchor, less one letter.
+
+    The key fixes the subtree. Let u be a palindromic suffix of a word wx
+    the walk visits below w, of length l > M. Its centred factors of
+    lengths l, l - 2, ... down to M + 1 are distinct palindromes of wx
+    outside Q, each a node made in x and charged once, so (l - M) / 2 <= r:
+    a longest palindromic suffix grows by at most 2 a letter, and each such
+    step past M costs budget. A climb reads the letter before a palindromic
+    suffix, so it never reads further back than L letters: the window and
+    x. A letter's fate is then fixed by the key. The window and x give its
+    climb, hence the palindrome u it ends on, and the forbidden factors
+    ending at it. Q and the nodes made in x give the charge, and u is
+    charged exactly when it is in neither. A u that is a node in one of two
+    words with one key and not in the other is in Q, so assumed: making it
+    costs nothing, and it is no longer than the cap, since a word holds it.
+    By induction on x, two words with one key have the same subtrees,
+    spelled with the same tails, and the mask and the window tell which
+    tails complete the required factors.
+
+    The table maps each key to the first host in its subtree, or to None
+    for none; a word that repeats a key is refused, and its subtree stands
+    in for the first one's. Its first host is the word plus that host's
+    tail, and the host is given the returns that lie inside the word. Each
+    return that ends past the word starts at its last complete anchor
+    occurrence or later, so in the window, and it is a return of the first
+    subtree's host with the same tail, given earlier, with an earlier host.
+
+    Most hosts add nothing, and are read no further. Let low be the least
+    depth yielded since the last host, read or stood in for. Every word
+    since then, the next host too, shares its first low - 1 letters with
+    that host. A host whose anchor occurrences all lie inside those letters
+    has only returns that lie there too, between the same two consecutive
+    occurrences as in the last host, which has all its returns given. So a
+    word is read with complete_first_returns only when some anchor
+    occurrence ends past its first low - 1 letters.
     """
+    c = constraints
+    cap, budget, assumed = c.pal_length_cap, c.pal_budget, c.assumed_palindromes
+    required = sorted(c.required_factors)
+    flags = [(1 << i, r) for i, r in enumerate(required)]
+    keyed = cap is not None or budget is not None
+    floor = max(map(len, [anchor, *c.forbidden_factors, *required])) - 1
+
+    def width(longest: int, charge: int) -> int:
+        reach = cap if budget is None else longest + 2 * (budget - charge)
+        if cap is not None and cap < reach:
+            reach = cap
+        return max(reach + 1, floor)
+
     walk = PalWalk(constraints, max_len)
-    required = constraints.required_factors
+    lens, first_end = walk.tree._len, walk.tree._first_end
+    # Per node count of the tree: the charged set (the word's palindromes,
+    # the assumed ones and ε) as bits, its id, its longest palindrome and
+    # the window length. Sets and windows are interned, so a key is one int.
+    pal_bits = {p: 1 << i for i, p in enumerate(sorted(assumed | {""}))}
+    size = max_len + 3
+    sets = [(1 << len(pal_bits)) - 1] * size
+    pids = [0] * size
+    longest = [max(map(len, assumed), default=0)] * size
+    widths = [width(longest[0], len(pal_bits)) if keyed else 0] * size
+    set_ids, windows = {sets[0]: 0}, {}
+    stride = (max_len + 1) << len(flags)
+
     found: dict[str, str] = {}
+    seen: dict[int, str | None] = {}  # key -> the first host below, or None
+    open_keys: list[tuple[int, int]] = []  # (depth, key), still no host
+    steps = iter(walk)
+    refuse, stand_in = None, None
     prev_depth, prev = -1, ""
     low = 0
-    for depth, word in chain(walk, [(-1, "")]):
-        if depth <= prev_depth and all(r in prev for r in required):
-            if prev.find(anchor, max(0, low - len(anchor))) >= 0:
-                for ret in complete_first_returns(prev, anchor).returns:
-                    found.setdefault(ret, prev)
-            low = depth
-        elif depth < low:
-            low = depth
+    while True:
+        try:
+            depth, word = steps.send(refuse)
+        except StopIteration:
+            depth, word = -1, ""
+        if depth <= prev_depth:
+            if refuse:
+                host = None if stand_in is None else prev + stand_in[prev_depth:]
+            else:
+                host = prev if all(r in prev for r in required) else None
+            if host is not None:
+                if prev.find(anchor, max(0, low - len(anchor))) >= 0:
+                    for ret in complete_first_returns(prev, anchor).returns:
+                        found.setdefault(ret, host)
+                for _, key in open_keys:
+                    seen[key] = host
+                open_keys.clear()
+                low = depth
+            elif depth < low:
+                low = depth
+            while open_keys and open_keys[-1][0] >= depth:
+                open_keys.pop()
+            refuse = None
+        if depth < 0:
+            break
+        if keyed and 0 < depth < max_len - 1:
+            n = len(lens)
+            if first_end[-1] == depth:  # the last letter made a node
+                pal = word[-lens[-1]:]
+                grown = sets[n - 1] | pal_bits.setdefault(pal, 1 << len(pal_bits))
+                sets[n] = grown
+                pids[n] = set_ids.setdefault(grown, len(set_ids))
+                longest[n] = max(longest[n - 1], len(pal))
+                widths[n] = width(longest[n], grown.bit_count())
+            last, w = word.rfind(anchor), widths[n]
+            if last < 0 or last >= depth - w:
+                mask = 0
+                for flag, r in flags:
+                    if r in word:
+                        mask |= flag
+                a = windows.setdefault(word[-w:], len(windows))
+                b = pids[n]
+                pair = a * a + a + b if a >= b else b * b + a
+                key = pair * stride + (depth << len(flags) | mask)
+                if key in seen:
+                    refuse, stand_in = True, seen[key]
+                else:
+                    seen[key] = None
+                    open_keys.append((depth, key))
         prev_depth, prev = depth, word
     return ReturnScan(returns=found, stats=walk.stats)
 
@@ -383,13 +503,16 @@ def deepest_word(constraints: ConstraintSet) -> DepthScan:
     """Exhaustive extension search for the longest word the constraints allow.
 
     exhausted is False when some branch reached DEPTH_CAP letters, in which
-    case the reported maximum is only a lower bound.
+    case the reported maximum is only a lower bound. A set that no word
+    satisfies, not even the empty one, has no longest word: ValueError.
     """
     walk = PalWalk(constraints, DEPTH_CAP)
     witness = ""
     for depth, w in walk:
         if depth > len(witness):
             witness = w
+    if not walk.stats.nodes:
+        raise ValueError("no word satisfies the constraints, not even the empty word")
     return DepthScan(
         max_len=len(witness),
         witness=witness,

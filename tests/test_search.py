@@ -1,5 +1,6 @@
 """Constraint search engines: pruning soundness, families, enumeration."""
 
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -208,6 +209,21 @@ class TestDeepestWord:
             level, depth = nxt, depth + 1
         assert deepest_word(c).max_len == depth
 
+    @pytest.mark.parametrize(
+        "constraints",
+        [
+            ConstraintSet(AB, pal_budget=0),
+            ConstraintSet(AB, pal_budget=1, assumed_palindromes=frozenset({"a"})),
+        ],
+    )
+    def test_no_word_at_all_is_refused(self, constraints):
+        # Not even the empty word satisfies these sets, so there is no
+        # longest word to report, exhausted or not. Cap 0, which admits the
+        # empty word alone, reports it (TestConstraintSet).
+        assert not constraints.satisfies("")
+        with pytest.raises(ValueError, match="not even the empty word"):
+            deepest_word(constraints)
+
     def test_capped_flag(self):
         # A budget of 9 palindromes admits infinite binary words, so some
         # branch reaches the cap and the maximum is only a lower bound.
@@ -372,19 +388,52 @@ RETURN_WALK_STATS = {
     "returns-baabaab": (11_251, 934, 0, 9_384),
 }
 
+RETURN_SCAN_STATS = {
+    # claim -> (nodes, leaves, pruned_forbidden, pruned_budget, pruned_seen)
+    # of the return scan at max_len 48
+    "returns-abaaab": (3_353, 146, 371, 2_091, 300),
+    "returns-ababa": (10_999, 595, 0, 8_730, 540),
+    "returns-baaab": (9_441, 515, 4_865, 2_203, 672),
+    "returns-baabaab": (4_395, 171, 0, 3_560, 247),
+}
+
 
 @pytest.mark.parametrize("cid", sorted(RETURN_WALK_STATS))
 def test_return_claim_walks_at_depth_48(cid):
     # The walks of the deep-returns benchmark, pinned: the counters count
     # the words visited and the letters rejected, so a walk that visits or
-    # rejects differently shows here.
+    # rejects differently shows here. The plain walk is the whole tree; the
+    # scan refuses the subtrees whose state it has seen.
     claim = RETURN_CLAIMS[cid]
-    scan = scan_complete_returns(claim.constraints, claim.anchor, 48)
+    walk = PalWalk(claim.constraints, 48)
+    for _ in walk:
+        pass
     nodes, leaves, forbidden, budget = RETURN_WALK_STATS[cid]
-    assert scan.stats == SearchStats(
+    assert walk.stats == SearchStats(
         nodes=nodes, max_depth=48, leaves=leaves,
         pruned_forbidden=forbidden, pruned_cap=0, pruned_budget=budget,
     )
+    scan = scan_complete_returns(claim.constraints, claim.anchor, 48)
+    nodes, leaves, forbidden, budget, seen = RETURN_SCAN_STATS[cid]
+    assert scan.stats == SearchStats(
+        nodes=nodes, max_depth=48, leaves=leaves,
+        pruned_forbidden=forbidden, pruned_cap=0, pruned_budget=budget,
+        pruned_seen=seen,
+    )
+
+
+def test_return_scan_table_stays_small():
+    # The table holds one int key a keyed word, interned windows and
+    # palindrome sets, and host strings shared by every key they serve.
+    claim = RETURN_CLAIMS["returns-ababa"]
+    tracemalloc.start()
+    try:
+        scan = scan_complete_returns(claim.constraints, claim.anchor, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan.stats.pruned_seen
+    assert peak < 512 * 1024, peak
 
 
 def _hosts_of_maximal_words(constraints, anchor, max_len):
@@ -446,24 +495,41 @@ def _oracle_walk(alphabet, max_len, canonical, **constraints):
     return words, stats
 
 
+def _draw_constraints(draw, letters):
+    """naive_broken's keyword arguments: a cap or none, a budget or none, up
+    to 3 forbidden factors of up to 3 letters, and up to 4 assumed
+    palindromes, sets over the budget included."""
+    cap = draw(st.none() | st.integers(0, 4))
+    budget = draw(st.none() | st.integers(0, 9))
+    text = st.text(alphabet=letters, min_size=1, max_size=3)
+    half = st.text(alphabet=letters, max_size=2)
+    palindromes = st.builds(lambda h, odd: h + h[::-1][odd:], half, st.booleans())
+    return dict(
+        forbidden=draw(st.frozensets(text, max_size=3)),
+        cap=cap,
+        budget=budget,
+        assumed=draw(st.frozensets(palindromes, max_size=4)),
+    )
+
+
+def _constraint_set(letters, kw, required=frozenset()):
+    return ConstraintSet(
+        letters,
+        forbidden_factors=kw["forbidden"],
+        required_factors=required,
+        pal_length_cap=kw["cap"],
+        pal_budget=kw["budget"],
+        assumed_palindromes=kw["assumed"],
+    )
+
+
 @st.composite
 def _walk_cases(draw):
     # The sizes are drawn first: Hypothesis tends to give the draws after
     # the sets their simplest value, which would leave max_len at 0.
     letters = "".join(draw(st.permutations("abc")))[: draw(st.integers(1, 3))]
     max_len, canonical = draw(st.integers(0, 8)), draw(st.booleans())
-    cap = draw(st.none() | st.integers(0, 4))
-    budget = draw(st.none() | st.integers(0, 9))
-    text = st.text(alphabet=letters, min_size=1, max_size=3)
-    half = st.text(alphabet=letters, max_size=2)
-    palindromes = st.builds(lambda h, odd: h + h[::-1][odd:], half, st.booleans())
-    constraints = dict(
-        forbidden=draw(st.frozensets(text, max_size=3)),
-        cap=cap,
-        budget=budget,
-        assumed=draw(st.frozensets(palindromes, max_size=4)),
-    )
-    return letters, constraints, max_len, canonical
+    return letters, _draw_constraints(draw, letters), max_len, canonical
 
 
 @settings(deadline=None)
@@ -473,20 +539,84 @@ def _walk_cases(draw):
                      assumed=frozenset()), 4, False))
 def test_walk_matches_naive_oracle(case):
     letters, kw, max_len, canonical = case
-    walk = PalWalk(
-        ConstraintSet(
-            letters,
-            forbidden_factors=kw["forbidden"],
-            pal_length_cap=kw["cap"],
-            pal_budget=kw["budget"],
-            assumed_palindromes=kw["assumed"],
-        ),
-        max_len,
-        canonical=canonical,
-    )
+    walk = PalWalk(_constraint_set(letters, kw), max_len, canonical=canonical)
     words, stats = _oracle_walk(letters, max_len, canonical, **kw)
     assert list(walk) == [(len(w), w) for w in words]
-    assert walk.stats == stats
+    assert walk.stats == stats  # pruned_seen 0: nothing refused a subtree
+
+
+def _draw_forced_palindromes(draw, letters):
+    """naive_broken's keyword arguments as the return claims have them:
+    the palindromes of up to 3 letters assumed, all but up to 3, and a
+    budget, a cap or both. The words under a budget then share their
+    palindrome sets, so keys repeat. Forbidden factors have 2 or 3 letters,
+    so no letter is forbidden outright."""
+    pool = [w for n in (1, 2, 3) for w in all_words(letters, n) if w == w[::-1]]
+    assumed = frozenset(pool) - draw(st.frozensets(st.sampled_from(pool), max_size=3))
+    bounds = draw(st.sampled_from(["budget", "cap", "both"]))
+    slack, cap = draw(st.integers(0, 3)), draw(st.integers(2, 5))
+    factors = st.text(alphabet=letters, min_size=2, max_size=3)
+    return dict(
+        forbidden=draw(st.frozensets(factors, max_size=2)),
+        cap=None if bounds == "budget" else cap,
+        budget=None if bounds == "cap" else len(assumed | {""}) + slack,
+        assumed=assumed,
+    )
+
+
+@st.composite
+def _return_cases(draw):
+    # Two or three letters: a unary walk has one word a depth, so no key
+    # repeats. A ternary walk with no budget or cap has 3^12 words of
+    # length 12, so its words stop at 8. Half the sets are drawn as the
+    # walk's are, with any length; half with forced palindromes and at most
+    # 4 letters short of the longest, where keys repeat most.
+    letters = "".join(draw(st.permutations("abc")))[: draw(st.integers(2, 3))]
+    top = 12 if len(letters) == 2 else 8
+    forced = draw(st.booleans())
+    max_len = top - draw(st.integers(0, 4 if forced else top))
+    kw = (_draw_forced_palindromes if forced else _draw_constraints)(draw, letters)
+    text = st.text(alphabet=letters, min_size=1, max_size=3)
+    return letters, kw, draw(st.frozensets(text, max_size=2)), draw(text), max_len
+
+
+def _bounds_only(cap=None, budget=None):
+    return dict(forbidden=frozenset(), cap=cap, budget=budget, assumed=frozenset())
+
+
+@settings(deadline=None)
+@given(_return_cases())
+# In order, these fail a scan whose window is one letter short under a cap
+# and under a budget, whose key drops the depth, and whose key drops the
+# required factors found so far.
+@example(("ab", _bounds_only(cap=4), frozenset({"bbb"}), "ab", 10))
+@example(("ab", _bounds_only(budget=9), frozenset(), "aab", 11))
+@example(("ab", _bounds_only(cap=4), frozenset({"aaa"}), "bb", 10))
+@example(("abc", _bounds_only(cap=2), frozenset({"abc"}), "bb", 8))
+def test_return_scan_matches_maximal_words(case):
+    # The seen-state table must give every return and every host that
+    # reading each maximal word of the plain walk in full gives.
+    letters, kw, required, anchor, max_len = case
+    constraints = _constraint_set(letters, kw, required)
+    scan = scan_complete_returns(constraints, anchor, max_len)
+    assert scan.returns == _hosts_of_maximal_words(constraints, anchor, max_len)
+    if kw["cap"] is None and kw["budget"] is None:
+        assert scan.stats.pruned_seen == 0  # no word gets a key
+
+
+def test_refused_word_is_not_walked_below():
+    walk = PalWalk(ConstraintSet(AB), 3)
+    steps, refuse, got = iter(walk), None, []
+    while True:
+        try:
+            depth, w = steps.send(refuse)
+        except StopIteration:
+            break
+        assert walk.tree.text == w and depth == len(w)
+        got.append(w)
+        refuse = w in ("ab", "b") or None
+    assert got == ["", "a", "aa", "aaa", "aab", "ab", "b"]
+    assert walk.stats == SearchStats(nodes=7, max_depth=3, leaves=2, pruned_seen=2)
 
 
 @pytest.mark.parametrize(
