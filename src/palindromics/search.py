@@ -69,9 +69,9 @@ class ConstraintSet:
     assumed_palindromes set models palindromes known to occur elsewhere in
     the (infinite) word under study: the budget is charged for the union of
     the assumed set and the palindromes actually present in the search word.
-    An empty forbidden factor would forbid every word, the empty one too, so
-    it is refused; so is a negative length cap, which the empty word's
-    longest palindrome, of length 0, would already break.
+    Refused: a repeated letter (each word walked once per copy), an empty
+    forbidden factor (no word passes, not even ε) and a negative length cap
+    (ε's longest palindrome, of length 0, already breaks it).
     """
 
     alphabet: str
@@ -82,6 +82,8 @@ class ConstraintSet:
     assumed_palindromes: frozenset[str] = frozenset()
 
     def __post_init__(self):
+        if len(set(self.alphabet)) != len(self.alphabet):
+            raise ValueError("alphabet letters must be distinct")
         if "" in self.forbidden_factors:
             raise ValueError("forbidden factors must be non-empty")
         if self.pal_length_cap is not None and self.pal_length_cap < 0:
@@ -208,6 +210,8 @@ class PalWalk:
     def __init__(
         self, constraints: ConstraintSet, max_len: int, canonical: bool = False
     ) -> None:
+        if max_len < 0:
+            raise ValueError("max_len must be non-negative")
         self.constraints = constraints
         self.max_len = max_len
         self.canonical = canonical
@@ -360,13 +364,13 @@ def scan_complete_returns(
     Under a budget or a cap, each visited word w shorter than max_len - 1,
     so with more than leaves below it, whose last complete anchor
     occurrence starts in its window, or that has none, gets a key: its
-    depth, the id of its charged set Q (its palindromes, the assumed ones
-    and ε), the bitmask of the required factors it holds, and its window,
-    its last L letters. L - 1 bounds the palindromic
-    suffixes of every word below w: M + 2r under a budget, where M is the
-    longest palindrome in Q and r the budget less w's charge |Q|; c under a
-    cap c; the smaller under both. L is also never less than the longest
-    forbidden factor, required factor or anchor, less one letter.
+    depth, its charged set Q (its palindromes, the assumed ones and ε) as a
+    bitmask, the bitmask of the required factors it holds, and its window,
+    its last L letters. L - 1 bounds the palindromic suffixes of every word
+    below w: M + 2r under a budget, where M is the longest palindrome in Q
+    and r the budget less w's charge |Q|; c under a cap c; the smaller
+    under both. L is also never less than the longest forbidden factor,
+    required factor or anchor, less one letter.
 
     The key fixes the subtree. Let u be a palindromic suffix of a word wx
     the walk visits below w, of length l > M. Its centred factors of
@@ -392,16 +396,9 @@ def scan_complete_returns(
     return that ends past the word starts at its last complete anchor
     occurrence or later, so in the window, and it is a return of the first
     subtree's host with the same tail, given earlier, with an earlier host.
-
-    Most hosts add nothing, and are read no further. Let low be the least
-    depth yielded since the last host, read or stood in for. Every word
-    since then, the next host too, shares its first low - 1 letters with
-    that host. A host whose anchor occurrences all lie inside those letters
-    has only returns that lie there too, between the same two consecutive
-    occurrences as in the last host, which has all its returns given. So a
-    word is read with complete_first_returns only when some anchor
-    occurrence ends past its first low - 1 letters.
     """
+    if not anchor:
+        raise ValueError("anchor must be non-empty")
     c = constraints
     cap, budget, assumed = c.pal_length_cap, c.pal_budget, c.assumed_palindromes
     required = sorted(c.required_factors)
@@ -417,25 +414,20 @@ def scan_complete_returns(
 
     walk = PalWalk(constraints, max_len)
     lens, first_end = walk.tree._len, walk.tree._first_end
-    # Per node count of the tree: the charged set (the word's palindromes,
-    # the assumed ones and ε) as bits, its id, its longest palindrome and
-    # the window length. Sets and windows are interned, so a key is one int.
+    # Per node count of the tree: the charged set Q as bits, its longest
+    # palindrome and the window length.
     pal_bits = {p: 1 << i for i, p in enumerate(sorted(assumed | {""}))}
     size = max_len + 3
     sets = [(1 << len(pal_bits)) - 1] * size
-    pids = [0] * size
     longest = [max(map(len, assumed), default=0)] * size
     widths = [width(longest[0], len(pal_bits)) if keyed else 0] * size
-    set_ids, windows = {sets[0]: 0}, {}
-    stride = (max_len + 1) << len(flags)
 
     found: dict[str, str] = {}
-    seen: dict[int, str | None] = {}  # key -> the first host below, or None
-    open_keys: list[tuple[int, int]] = []  # (depth, key), still no host
+    seen: dict[tuple, str | None] = {}  # key -> the first host below, or None
+    open_keys: list[tuple] = []  # keys with no host yet, deepest last
     steps = iter(walk)
     refuse, stand_in = None, None
     prev_depth, prev = -1, ""
-    low = 0
     while True:
         try:
             depth, word = steps.send(refuse)
@@ -447,15 +439,11 @@ def scan_complete_returns(
             else:
                 host = prev if all(r in prev for r in required) else None
             if host is not None:
-                if prev.find(anchor, max(0, low - len(anchor))) >= 0:
-                    for ret in complete_first_returns(prev, anchor).returns:
-                        found.setdefault(ret, host)
-                for _, key in open_keys:
+                for ret in complete_first_returns(prev, anchor).returns:
+                    found.setdefault(ret, host)
+                for key in open_keys:
                     seen[key] = host
                 open_keys.clear()
-                low = depth
-            elif depth < low:
-                low = depth
             while open_keys and open_keys[-1][0] >= depth:
                 open_keys.pop()
             refuse = None
@@ -467,7 +455,6 @@ def scan_complete_returns(
                 pal = word[-lens[-1]:]
                 grown = sets[n - 1] | pal_bits.setdefault(pal, 1 << len(pal_bits))
                 sets[n] = grown
-                pids[n] = set_ids.setdefault(grown, len(set_ids))
                 longest[n] = max(longest[n - 1], len(pal))
                 widths[n] = width(longest[n], grown.bit_count())
             last, w = word.rfind(anchor), widths[n]
@@ -476,15 +463,12 @@ def scan_complete_returns(
                 for flag, r in flags:
                     if r in word:
                         mask |= flag
-                a = windows.setdefault(word[-w:], len(windows))
-                b = pids[n]
-                pair = a * a + a + b if a >= b else b * b + a
-                key = pair * stride + (depth << len(flags) | mask)
+                key = (depth, sets[n], mask, word[-w:])
                 if key in seen:
                     refuse, stand_in = True, seen[key]
                 else:
                     seen[key] = None
-                    open_keys.append((depth, key))
+                    open_keys.append(key)
         prev_depth, prev = depth, word
     return ReturnScan(returns=found, stats=walk.stats)
 

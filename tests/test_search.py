@@ -17,7 +17,7 @@ from palindromics import (
     forbid_other_palindromes,
     scan_complete_returns,
 )
-from palindromics.claims import RETURN_CLAIMS
+from palindromics.claims import RETURN_CLAIMS, scan_min_palindromes
 from palindromics.search import (
     DEPTH_CAP,
     PalWalk,
@@ -119,6 +119,14 @@ class TestConstraintSet:
     def test_empty_forbidden_factor_rejected(self):
         with pytest.raises(ValueError, match="forbidden factors must be non-empty"):
             ConstraintSet(AB, forbidden_factors=frozenset({"", "bb"}))
+
+    def test_repeated_letter_rejected(self):
+        # A repeated letter would walk every word once per copy.
+        with pytest.raises(ValueError, match="alphabet letters must be distinct"):
+            ConstraintSet("aa")
+        with pytest.raises(ValueError, match="alphabet letters must be distinct"):
+            scan_min_palindromes("aba", 3)
+        assert scan_min_palindromes("a", 3) == (4, ["aaa"], 1)
 
     def test_negative_length_cap_rejected(self):
         # The empty word's longest palindrome, of length 0, would break a
@@ -275,6 +283,16 @@ class TestReturnScan:
         scan = scan_complete_returns(c, "aba", max_len=7)
         assert "ababa" in scan.returns  # overlapping pair of aba occurrences
 
+    @pytest.mark.parametrize(
+        "required", [frozenset(), frozenset({"bbbb"})], ids=["hosts", "no-host"]
+    )
+    def test_empty_anchor_rejected(self, required):
+        # Checked before the walk, so also when no word of length 3 can
+        # hold the required factor and no host is ever read.
+        c = ConstraintSet(AB, required_factors=required)
+        with pytest.raises(ValueError, match="anchor must be non-empty"):
+            scan_complete_returns(c, "", 3)
+
 
 def _oracle_hosts(alphabet, max_len, forbidden=(), required=(), budget=None,
                   cap=None, assumed=()):
@@ -423,8 +441,8 @@ def test_return_claim_walks_at_depth_48(cid):
 
 
 def test_return_scan_table_stays_small():
-    # The table holds one int key a keyed word, interned windows and
-    # palindrome sets, and host strings shared by every key they serve.
+    # The table holds one tuple key a keyed word (its depth, two int masks
+    # and its window) and host strings shared by every key they serve.
     claim = RETURN_CLAIMS["returns-ababa"]
     tracemalloc.start()
     try:
@@ -461,8 +479,8 @@ HOST_RULE_CASES = [
 
 @pytest.mark.parametrize("constraints, anchor, max_len", HOST_RULE_CASES)
 def test_skipped_hosts_change_no_host(constraints, anchor, max_len):
-    # The scan reads a host only past the letters it shares with the last
-    # host; reading every maximal word in full must give the same hosts.
+    # The scan stands in a host for each subtree it refuses; reading every
+    # maximal word of the plain walk in full must give the same hosts.
     expected = _hosts_of_maximal_words(constraints, anchor, max_len)
     assert expected
     assert scan_complete_returns(constraints, anchor, max_len).returns == expected
@@ -669,6 +687,22 @@ def test_walk_of_length_zero_is_the_empty_word():
     walk = PalWalk(ConstraintSet(AB), 0)
     assert list(walk.leaves()) == [("", 1)]
     assert walk.stats.leaves == 1
+
+
+@pytest.mark.parametrize(
+    "scan",
+    [
+        lambda n: PalWalk(ConstraintSet(AB), n),
+        lambda n: scan_complete_returns(ConstraintSet(AB), "a", n),
+        lambda n: scan_min_palindromes(AB, n),
+        lambda n: low_palindrome_words(2, n, 4),
+    ],
+    ids=["PalWalk", "scan_complete_returns", "scan_min_palindromes",
+         "low_palindrome_words"],
+)
+def test_negative_max_len_rejected(scan):
+    with pytest.raises(ValueError, match="max_len must be non-negative"):
+        scan(-1)
 
 
 @pytest.mark.parametrize("max_letters", [0, 9])
