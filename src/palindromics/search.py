@@ -126,7 +126,9 @@ class SearchStats:
     broke: a forbidden factor, the palindrome length cap, or the palindrome
     budget. pruned_seen counts the visited words whose consumer refused
     their subtree (PalWalk's hook); their letters are not tried, so they
-    count in no other pruned_*. A walk whose consumer never refuses reads 0.
+    count in no other pruned_*. In scan_complete_returns these are the
+    repeats of a state with no host below it and the words below a skimmed
+    repeat past its first host. A walk whose consumer never refuses reads 0.
     """
 
     nodes: int = 0
@@ -339,7 +341,7 @@ class PalWalk:
 class ReturnScan:
     """Outcome of a bounded complete-first-return enumeration."""
 
-    returns: dict[str, str]  # return word -> example host word
+    returns: dict[str, str]  # return word -> its first host
     stats: SearchStats = field(compare=False, default_factory=SearchStats)
 
 
@@ -360,42 +362,50 @@ def scan_complete_returns(
     is therefore the first maximal word that holds the return and every
     required factor.
 
-    Most subtrees repeat one explored before, and are refused unwalked.
-    Under a budget or a cap, each visited word w shorter than max_len - 1,
-    so with more than leaves below it, whose last complete anchor
-    occurrence starts in its window, or that has none, gets a key: its
-    depth, its charged set Q (its palindromes, the assumed ones and ε) as a
-    bitmask, the bitmask of the required factors it holds, and its window,
-    its last L letters. L - 1 bounds the palindromic suffixes of every word
-    below w: M + 2r under a budget, where M is the longest palindrome in Q
-    and r the budget less w's charge |Q|; c under a cap c; the smaller
-    under both. L is also never less than the longest forbidden factor,
-    required factor or anchor, less one letter.
+    Most subtrees repeat, or truncate, one explored before, and are not
+    walked again. Under a budget or a cap, each visited word w past the
+    root whose last complete anchor occurrence starts in its window, or
+    that has none, gets a key: its charged set Q (its palindromes, the
+    assumed ones and ε) as a bitmask, the bitmask of the required factors
+    it holds, and its window, its last L letters. L - 1 bounds the
+    palindromic suffixes of every word below w: M + 2r under a budget,
+    where M is the longest palindrome in Q and r the budget less w's charge
+    |Q|; c under a cap c; the smaller under both. L is also never less than
+    the longest forbidden factor, required factor or anchor, less one
+    letter.
 
-    The key fixes the subtree. Let u be a palindromic suffix of a word wx
-    the walk visits below w, of length l > M. Its centred factors of
-    lengths l, l - 2, ... down to M + 1 are distinct palindromes of wx
-    outside Q, each a node made in x and charged once, so (l - M) / 2 <= r:
-    a longest palindromic suffix grows by at most 2 a letter, and each such
-    step past M costs budget. A climb reads the letter before a palindromic
-    suffix, so it never reads further back than L letters: the window and
-    x. A letter's fate is then fixed by the key. The window and x give its
-    climb, hence the palindrome u it ends on, and the forbidden factors
-    ending at it. Q and the nodes made in x give the charge, and u is
-    charged exactly when it is in neither. A u that is a node in one of two
-    words with one key and not in the other is in Q, so assumed: making it
-    costs nothing, and it is no longer than the cap, since a word holds it.
-    By induction on x, two words with one key have the same subtrees,
-    spelled with the same tails, and the mask and the window tell which
-    tails complete the required factors.
+    The key fixes the tails below the word, up to their length. Let u be a
+    palindromic suffix of a word wx the walk visits below w, of length
+    l > M. Its centred factors of lengths l, l - 2, ... down to M + 1 are
+    distinct palindromes of wx outside Q, each a node made in x and
+    charged once, so (l - M) / 2 <= r: a longest palindromic suffix grows
+    by at most 2 a letter, and each such step past M costs budget. A climb
+    reads the letter before a palindromic suffix, so it never reads further
+    back than L letters: the window and x. A letter's fate is then fixed by
+    the key. The window and x give its climb, hence the palindrome u it
+    ends on, and the forbidden factors ending at it. Q and the nodes made
+    in x give the charge, and u is charged exactly when it is in neither. A
+    u that is a node in one of two words with one key and not in the other
+    is in Q, so assumed: making it costs nothing, and it is no longer than
+    the cap, since a word holds it. By induction on x, two words with one
+    key have the tails below them of every length both have room for, and
+    the mask and the window tell which tails complete the required
+    factors. So the subtree of a word with a key met before at its depth
+    or shallower is a truncation of the subtree the walk explored then.
 
-    The table maps each key to the first host in its subtree, or to None
-    for none; a word that repeats a key is refused, and its subtree stands
-    in for the first one's. Its first host is the word plus that host's
-    tail, and the host is given the returns that lie inside the word. Each
-    return that ends past the word starts at its last complete anchor
-    occurrence or later, so in the window, and it is a return of the first
-    subtree's host with the same tail, given earlier, with an earlier host.
+    The table maps each key to (depth, hosted) for the shallowest word with
+    that key whose subtree the walk has left, hosted when a host was read
+    below it. A later word w with that key at that depth or deeper gives
+    no new return that ends past w. Such a return starts at w's last
+    complete anchor occurrence or later, so in the window; the window and
+    the same tail end a word of the explored subtree, and so lie in one of
+    its hosts, whose returns are all found already. What w can give is its
+    own returns: every host below w holds them, and the first brings them.
+    If the record has no host, w has none either, since a host below w
+    would give one in the explored subtree, and w is refused. Otherwise
+    the walk goes on below w, the table refusing and skimming inside as
+    anywhere, until it reads w's first host, just where the plain walk
+    reads it; then it refuses every word deeper than w until it leaves w.
     """
     if not anchor:
         raise ValueError("anchor must be non-empty")
@@ -423,10 +433,14 @@ def scan_complete_returns(
     widths = [width(longest[0], len(pal_bits)) if keyed else 0] * size
 
     found: dict[str, str] = {}
-    seen: dict[tuple, str | None] = {}  # key -> the first host below, or None
-    open_keys: list[tuple] = []  # keys with no host yet, deepest last
+    # key -> (depth, hosted) of the shallowest word with that key whose
+    # subtree the walk has left, hosted when a host was read below it.
+    seen: dict[tuple, tuple[int, bool]] = {}
+    pending: list[tuple] = []  # keyed words not yet left: (depth, key, hosts before)
+    hosts = 0
+    skim = cut = -1  # the depth of the word skimmed and of the word cut
     steps = iter(walk)
-    refuse, stand_in = None, None
+    refuse = None
     prev_depth, prev = -1, ""
     while True:
         try:
@@ -434,22 +448,27 @@ def scan_complete_returns(
         except StopIteration:
             depth, word = -1, ""
         if depth <= prev_depth:
-            if refuse:
-                host = None if stand_in is None else prev + stand_in[prev_depth:]
-            else:
-                host = prev if all(r in prev for r in required) else None
-            if host is not None:
+            if not refuse and all(r in prev for r in required):
                 for ret in complete_first_returns(prev, anchor).returns:
-                    found.setdefault(ret, host)
-                for key in open_keys:
-                    seen[key] = host
-                open_keys.clear()
-            while open_keys and open_keys[-1][0] >= depth:
-                open_keys.pop()
+                    found.setdefault(ret, prev)
+                hosts += 1
+                if skim >= 0:
+                    skim, cut = -1, skim
+            # Only deeper words were left while a word was pending, so its
+            # record is the shallowest.
+            while pending and pending[-1][0] >= depth:
+                d, key, before = pending.pop()
+                seen[key] = (d, hosts > before)
+            if skim >= depth:
+                skim = -1
+            if cut >= depth:
+                cut = -1
             refuse = None
         if depth < 0:
             break
-        if keyed and 0 < depth < max_len - 1:
+        if cut >= 0:
+            refuse = True
+        elif keyed and depth:
             n = len(lens)
             if first_end[-1] == depth:  # the last letter made a node
                 pal = word[-lens[-1]:]
@@ -463,12 +482,14 @@ def scan_complete_returns(
                 for flag, r in flags:
                     if r in word:
                         mask |= flag
-                key = (depth, sets[n], mask, word[-w:])
-                if key in seen:
-                    refuse, stand_in = True, seen[key]
-                else:
-                    seen[key] = None
-                    open_keys.append(key)
+                key = (sets[n], mask, word[-w:])
+                record = seen.get(key)
+                if record is None or record[0] > depth:
+                    pending.append((depth, key, hosts))
+                elif not record[1]:
+                    refuse = True
+                elif skim < 0:
+                    skim = depth
         prev_depth, prev = depth, word
     return ReturnScan(returns=found, stats=walk.stats)
 
