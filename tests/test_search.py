@@ -612,7 +612,10 @@ def _bounds_only(cap=None, budget=None, assumed=frozenset()):
 # and under a budget, whose key ignores the recorded depth, whose key drops
 # the required factors found so far, that refuses a repeat whose record has
 # a host instead of walking it to its first host, and that keys a word
-# whose last anchor occurrence starts before its window.
+# whose last anchor occurrence starts before its window. The last three
+# failed the depth-keyed table this one replaced, with its window one letter
+# short under a budget, its key without the depth and its key without the
+# required factors; they stay as regression inputs.
 @example(("ab", _bounds_only(cap=4), frozenset({"bbb"}), "ab", 10))
 @example(("abc", _bounds_only(budget=5, assumed=frozenset("abc")),
           frozenset({"ca"}), "c", 4))
@@ -623,6 +626,9 @@ def _bounds_only(cap=None, budget=None, assumed=frozenset()):
           frozenset({"ba"}), "b", 4))
 @example(("abc", _bounds_only(budget=7, assumed=frozenset(
     {"a", "b", "c", "aa", "bb", "cc"})), frozenset(), "c", 5))
+@example(("ab", _bounds_only(budget=9), frozenset(), "aab", 11))
+@example(("ab", _bounds_only(cap=4), frozenset({"aaa"}), "bb", 10))
+@example(("abc", _bounds_only(cap=2), frozenset({"abc"}), "bb", 8))
 def test_return_scan_matches_maximal_words(case):
     # The seen-state table must give every return and every host that
     # reading each maximal word of the plain walk in full gives.
